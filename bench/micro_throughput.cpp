@@ -19,7 +19,6 @@
 #include "bench_util.h"
 #include "cachesim/cache.h"
 #include "cachesim/kernels/kernels.h"
-#include "cachesim/lockstep.h"
 #include "common/rng.h"
 #include "gift/bitslice.h"
 #include "gift/gift128.h"
@@ -32,6 +31,7 @@
 #include "target/gift64_recovery.h"
 #include "target/platform.h"
 #include "target/wide_engine.h"
+#include "target/wide_observe.h"
 
 using namespace grinch;
 
@@ -146,23 +146,38 @@ void BM_ObserveBatch(benchmark::State& state) {
   // zero-allocation LineSet observations, hoisted probe window).
   // items_per_second is observations per second; compare its inverse
   // against baseline_direct_observe_ns for the per-observation speedup.
-  // Width 64 routes through observe_wide — the transposed lockstep fast
-  // path (target/wide_observe.h) — the scalar widths through
-  // observe_batch, so /64 vs /16 is the wide-transport speedup
+  // Width 64 runs the same work through the wide path instead — one
+  // WideObserveCore::run of 64 jobs on one key's schedule at stage 0
+  // (target/wide_observe.h) — so /64 vs /16 is the wide-path speedup
   // (tools/check_bench.py asserts wide <= scalar per observation).
+  using Core = target::WideObserveCore<target::Gift64Recovery>;
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   const bool wide = batch > 16;
   Xoshiro256 rng{9};
-  target::DirectProbePlatform<target::Gift64Recovery> platform{
-      {}, rng.key128()};
+  const Key128 key = rng.key128();
+  const target::DirectProbePlatform<target::Gift64Recovery>::Config config;
+  target::DirectProbePlatform<target::Gift64Recovery> platform{config, key};
   std::vector<std::uint64_t> pts(batch);
   target::ObservationBatch out;
+  Core core{config.cache, config.layout};
+  const target::Gift64Recovery::TableCipher cipher{config.layout};
+  const Core::Schedule schedule = cipher.make_schedule(key);
+  const target::ProbeWindow window =
+      target::probe_window_for<target::Gift64Recovery>(0,
+                                                       config.probing_round);
+  std::vector<Core::Job> jobs(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    jobs[i] = {&schedule, 0, window, window.monitored_from,
+               static_cast<unsigned>(i)};
+  }
   target::WideObservationBatch wide_out;
+  std::vector<std::uint64_t> states(batch);
   for (auto _ : state) {
     for (std::uint64_t& p : pts) p = rng.block64();
     if (wide) {
-      platform.observe_wide(pts, 0, wide_out);
-      benchmark::DoNotOptimize(wide_out.lanes_present(0));
+      for (std::size_t i = 0; i < batch; ++i) jobs[i].plaintext = pts[i];
+      core.run(jobs, wide_out, states.data());
+      benchmark::DoNotOptimize(wide_out.present_word(0));
     } else {
       platform.observe_batch(pts, 0, out);
       benchmark::DoNotOptimize(out.data());
@@ -204,28 +219,6 @@ void BM_WideRecovery(benchmark::State& state) {
                           static_cast<std::int64_t>(kTrials));
 }
 BENCHMARK(BM_WideRecovery)->Arg(1)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_ProbeKernel(benchmark::State& state, cachesim::kernels::Kind kind) {
-  // The lockstep set-probe kernel under the worst case it ever sees: a
-  // saturated 16-way set thrashed by a 17-tag LRU round-robin, so every
-  // access is a full-set tag scan (miss) followed by the min-stamp victim
-  // pick.  Registered once per available kernel (main()), so the JSON
-  // carries generic/swar/avx2 side by side from one machine.
-  cachesim::kernels::ScopedKernel scoped{kind};
-  cachesim::LockstepCaches caches{cachesim::CacheConfig::paper_default(), 1};
-  constexpr unsigned kWays = 16;
-  std::uint64_t addrs[kWays + 1];
-  // line_bytes = 1, 64 sets: stride 64 keeps every address in set 0 with
-  // a distinct tag.
-  for (unsigned i = 0; i <= kWays; ++i) addrs[i] = std::uint64_t{i} * 64;
-  for (unsigned i = 0; i <= kWays; ++i) caches.touch(0, addrs[i]);
-  unsigned next = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(caches.access(0, addrs[next]));
-    next = next == kWays ? 0 : next + 1;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
 
 void BM_Transpose64(benchmark::State& state, cachesim::kernels::Kind kind) {
   // The 64x64 bit-matrix transpose behind WideObservationBatch::
@@ -286,9 +279,6 @@ int main(int argc, char** argv) {
     for (const Kind kind : kKinds) {
       if (!cachesim::kernels::available(kind)) continue;
       const char* name = cachesim::kernels::ops(kind).name;
-      benchmark::RegisterBenchmark(
-          (std::string{"BM_ProbeKernel/"} + name).c_str(), BM_ProbeKernel,
-          kind);
       benchmark::RegisterBenchmark(
           (std::string{"BM_Transpose64/"} + name).c_str(), BM_Transpose64,
           kind);

@@ -1,7 +1,6 @@
 #include "cachesim/kernels/kernels.h"
 
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -12,22 +11,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // generic: the straight scalar loops.  Every other kernel is pinned
 // bit-identical to these (tests/cachesim/kernels_test.cpp).
-
-int find_tag_generic(const std::uint64_t* pairs, unsigned n,
-                     std::uint64_t tag) {
-  for (unsigned i = 0; i < n; ++i) {
-    if (pairs[2 * i] == tag) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-unsigned min_stamp_slot_generic(const std::uint64_t* pairs, unsigned ways) {
-  unsigned slot = 0;
-  for (unsigned i = 1; i < ways; ++i) {
-    if (pairs[2 * i + 1] < pairs[2 * slot + 1]) slot = i;
-  }
-  return slot;
-}
 
 void transpose_64x64_generic(const std::uint64_t* in, std::uint64_t* out) {
   for (unsigned r = 0; r < 64; ++r) {
@@ -50,33 +33,6 @@ std::uint64_t gather_column_generic(const std::uint64_t* rows, unsigned nrows,
 
 // ---------------------------------------------------------------------------
 // swar: branchless word-parallel versions, portable to any 64-bit target.
-
-int find_tag_swar(const std::uint64_t* pairs, unsigned n, std::uint64_t tag) {
-  // Accumulate a match bitmap instead of branching per slot: live tags
-  // are unique, so the bitmap has at most one bit and ctz names the slot.
-  std::uint64_t matches = 0;
-  unsigned i = 0;
-  for (; i + 4 <= n; i += 4) {
-    matches |= std::uint64_t{pairs[2 * i] == tag} << i;
-    matches |= std::uint64_t{pairs[2 * (i + 1)] == tag} << (i + 1);
-    matches |= std::uint64_t{pairs[2 * (i + 2)] == tag} << (i + 2);
-    matches |= std::uint64_t{pairs[2 * (i + 3)] == tag} << (i + 3);
-  }
-  for (; i < n; ++i) matches |= std::uint64_t{pairs[2 * i] == tag} << i;
-  return matches ? std::countr_zero(matches) : -1;
-}
-
-unsigned min_stamp_slot_swar(const std::uint64_t* pairs, unsigned ways) {
-  // Stamps are < 2^32 and ways <= 255, so (stamp << 8) | slot packs a
-  // branchless comparison key; the unique minimum stamp makes the packed
-  // minimum unique too.
-  std::uint64_t best = pairs[1] << 8;
-  for (unsigned i = 1; i < ways; ++i) {
-    const std::uint64_t key = (pairs[2 * i + 1] << 8) | i;
-    best = key < best ? key : best;
-  }
-  return static_cast<unsigned>(best & 0xFF);
-}
 
 void transpose_64x64_swar(const std::uint64_t* in, std::uint64_t* out) {
   // Recursive block swap (the Hacker's Delight transpose, LSB-first):
@@ -110,12 +66,11 @@ std::uint64_t gather_column_swar(const std::uint64_t* rows, unsigned nrows,
   return word;
 }
 
-constexpr Ops kGenericOps{find_tag_generic, min_stamp_slot_generic,
-                          transpose_64x64_generic, gather_column_generic,
+constexpr Ops kGenericOps{transpose_64x64_generic, gather_column_generic,
                           Kind::kGeneric, "generic"};
 
-constexpr Ops kSwarOps{find_tag_swar, min_stamp_slot_swar, transpose_64x64_swar,
-                       gather_column_swar, Kind::kSwar, "swar"};
+constexpr Ops kSwarOps{transpose_64x64_swar, gather_column_swar, Kind::kSwar,
+                       "swar"};
 
 bool cpu_has_avx2() noexcept {
 #if defined(GRINCH_KERNELS_AVX2) && (defined(__GNUC__) || defined(__clang__))

@@ -1,10 +1,7 @@
-// Runtime-dispatched SIMD kernels for the wide observation hot path.
+// Runtime-dispatched SIMD kernels for the wide observation path.
 //
-// Three loop shapes dominate the lockstep wide path once the per-lane
-// bookkeeping is amortised (docs/TARGETS.md, "Wide path"):
-//   * the set probe — a tag match across the up-to-`ways` interleaved
-//     (tag, stamp) pairs of one cache set, and the min-stamp LRU victim
-//     scan on a full set (cachesim/lockstep.h);
+// Two loop shapes sit on the wide path once the per-lane bookkeeping is
+// amortised (docs/TARGETS.md, "The wide path"):
 //   * the 64x64 bit-matrix transpose that turns 64 lane-major presence
 //     words into the row-major layout of WideObservationBatch;
 //   * the presence-word column gather that folds a transposed batch back
@@ -25,9 +22,9 @@
 //     generic|swar|avx2 (an unavailable or unknown name falls back to
 //     the default choice, so forced-kernel CI runs cannot select a
 //     kernel the binary cannot execute);
-//   * tests switch kernels with ScopedKernel; consumers that cache the
-//     Ops pointer (LockstepCaches) resolve it at construction, so a
-//     scope must wrap the object's construction.
+//   * tests switch kernels with ScopedKernel; every caller looks the
+//     active table up per call (nothing caches an Ops pointer), so a
+//     scope takes effect immediately, for objects built before it too.
 #pragma once
 
 #include <cstdint>
@@ -36,22 +33,9 @@ namespace grinch::cachesim::kernels {
 
 enum class Kind : std::uint8_t { kGeneric = 0, kSwar = 1, kAvx2 = 2 };
 
-/// One implementation of the three hot-loop shapes.  All pointers are
-/// always non-null; `pairs` arguments point at interleaved (tag, stamp)
-/// u64 pairs exactly as LockstepCaches stores them (tag at 2i, stamp at
-/// 2i + 1).
+/// One implementation of the two loop shapes.  Both pointers are always
+/// non-null.
 struct Ops {
-  /// Slot of the pair whose tag equals `tag` among the first `n` pairs,
-  /// or -1 when absent.  Tags of live slots are unique (cache sets hold
-  /// each line at most once), so "the" match is well defined.
-  int (*find_tag)(const std::uint64_t* pairs, unsigned n, std::uint64_t tag);
-
-  /// Slot of the minimum stamp among `ways` (>= 1) pairs.  Stamps are
-  /// unique (the lane clock strictly increases) and < 2^32, so the
-  /// minimum is unique and implementations may pack (stamp, slot) keys
-  /// into one word.
-  unsigned (*min_stamp_slot)(const std::uint64_t* pairs, unsigned ways);
-
   /// 64x64 bit-matrix transpose: out[r] bit c = in[c] bit r (LSB-first).
   /// `in` and `out` are distinct 64-word arrays.
   void (*transpose_64x64)(const std::uint64_t* in, std::uint64_t* out);
@@ -80,9 +64,7 @@ struct Ops {
 /// kind.  Pre-condition: available(kind).
 Kind set_active(Kind kind) noexcept;
 
-/// RAII kernel override for tests: forces `kind` for the scope.  Objects
-/// that resolve their Ops at construction (LockstepCaches and everything
-/// holding one) must be constructed inside the scope.
+/// RAII kernel override for tests: forces `kind` for the scope.
 class ScopedKernel {
  public:
   explicit ScopedKernel(Kind kind) noexcept : previous_(set_active(kind)) {}

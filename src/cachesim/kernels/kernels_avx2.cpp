@@ -9,77 +9,11 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstring>
 
 namespace grinch::cachesim::kernels {
 
 namespace {
-
-// The (tag, stamp) pairs are interleaved, so one 4-pair block spans two
-// 256-bit loads: a = [t0 s0 t1 s1], b = [t2 s2 t3 s3].  unpacklo/hi on
-// 64-bit lanes works per 128-bit half, which yields the permuted orders
-// tags  = [t0 t2 t1 t3] and stamps = [s0 s2 s1 s3]; the slot lookup
-// tables below undo the permutation.
-constexpr int kSlotOfLane[4] = {0, 2, 1, 3};
-
-int find_tag_avx2(const std::uint64_t* pairs, unsigned n, std::uint64_t tag) {
-  const __m256i needle = _mm256_set1_epi64x(static_cast<long long>(tag));
-  unsigned i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(pairs + 2 * i));
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(pairs + 2 * i + 4));
-    const __m256i tags = _mm256_unpacklo_epi64(a, b);
-    const int mask = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(tags, needle)));
-    if (mask != 0) {
-      // Live tags are unique: at most one lane matches.
-      return static_cast<int>(i) +
-             kSlotOfLane[std::countr_zero(static_cast<unsigned>(mask))];
-    }
-  }
-  for (; i < n; ++i) {
-    if (pairs[2 * i] == tag) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-unsigned min_stamp_slot_avx2(const std::uint64_t* pairs, unsigned ways) {
-  // Same packed (stamp << 8) | slot key as the SWAR kernel; keys are
-  // < 2^40, so the signed 64-bit vector compare orders them correctly.
-  std::uint64_t best = pairs[1] << 8;
-  unsigned i = 1;
-  if (ways >= 8) {
-    __m256i vbest = _mm256_set1_epi64x(static_cast<long long>(best));
-    const __m256i lane_slots =
-        _mm256_setr_epi64x(kSlotOfLane[0], kSlotOfLane[1], kSlotOfLane[2],
-                           kSlotOfLane[3]);
-    unsigned v = 0;
-    for (; v + 4 <= ways; v += 4) {
-      const __m256i a = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(pairs + 2 * v));
-      const __m256i b = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(pairs + 2 * v + 4));
-      const __m256i stamps = _mm256_unpackhi_epi64(a, b);
-      const __m256i keys = _mm256_or_si256(
-          _mm256_slli_epi64(stamps, 8),
-          _mm256_add_epi64(lane_slots, _mm256_set1_epi64x(v)));
-      vbest = _mm256_blendv_epi8(keys, vbest,
-                                 _mm256_cmpgt_epi64(keys, vbest));
-    }
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vbest);
-    for (const std::uint64_t key : lanes) best = key < best ? key : best;
-    i = v;
-  }
-  for (; i < ways; ++i) {
-    const std::uint64_t key = (pairs[2 * i + 1] << 8) | i;
-    best = key < best ? key : best;
-  }
-  return static_cast<unsigned>(best & 0xFF);
-}
 
 void transpose_64x64_avx2(const std::uint64_t* in, std::uint64_t* out) {
   // The SWAR block swap with the delta >= 4 passes vectorized: for those
@@ -140,8 +74,8 @@ std::uint64_t gather_column_avx2(const std::uint64_t* rows, unsigned nrows,
 // extern: const objects default to internal linkage, but kernels.cpp
 // references this table by name.
 extern const Ops kAvx2Ops;
-const Ops kAvx2Ops{find_tag_avx2, min_stamp_slot_avx2, transpose_64x64_avx2,
-                   gather_column_avx2, Kind::kAvx2, "avx2"};
+const Ops kAvx2Ops{transpose_64x64_avx2, gather_column_avx2, Kind::kAvx2,
+                   "avx2"};
 
 }  // namespace grinch::cachesim::kernels
 

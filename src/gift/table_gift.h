@@ -168,8 +168,8 @@ class TableGift64 {
 
   /// Fully static sink (any class with the TraceSink callback shape, no
   /// inheritance required): the round loop and the callbacks inline into
-  /// one function — the wide lockstep path streams accesses straight
-  /// into its lane cache with zero dispatch overhead.  Exact-match
+  /// one function — the wide path's presence shortcut counts accesses
+  /// with zero dispatch overhead.  Exact-match
   /// overload resolution keeps TraceSink*/VectorTraceSink* callers on
   /// the non-template entry points above.
   template <typename Sink>

@@ -50,7 +50,7 @@ class TableGift128 {
 
   /// Fully static sink (any class with the TraceSink callback shape, no
   /// inheritance required): round loop and callbacks inline into one
-  /// function — the wide lockstep path's zero-dispatch entry point.
+  /// function — the wide path's zero-dispatch entry point.
   /// TraceSink* callers keep resolving to the non-template overload.
   template <typename Sink>
   [[nodiscard]] State128 encrypt_with_schedule(

@@ -55,7 +55,7 @@ class TablePresent80 {
 
   /// Fully static sink (any class with the TraceSink callback shape, no
   /// inheritance required): round loop and callbacks inline into one
-  /// function — the wide lockstep path's zero-dispatch entry point.
+  /// function — the wide path's zero-dispatch entry point.
   /// TraceSink* callers keep resolving to the non-template overload.
   template <typename Sink>
   [[nodiscard]] std::uint64_t encrypt_with_schedule(

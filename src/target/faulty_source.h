@@ -15,15 +15,15 @@
 // once per monitored line).  Corruption is therefore a pure function of
 // the delivered-observation sequence, byte-reproducible across runs and
 // thread counts, and identical whether observations arrive through
-// observe(), observe_batch() or observe_wide() — the batch overrides
-// corrupt elements in delivery order.
+// observe() or observe_batch() — the batch override corrupts elements in
+// delivery order.
 //
 // Speculative batching: KeyRecoveryEngine may observe a speculative batch
 // and then consume only a prefix of it (recovery_engine.h).  Discarded
 // elements must not advance the fault channel, or the batched engine
-// would diverge from the scalar one.  observe_batch()/observe_wide()
-// therefore checkpoint the channel state after every element, and
-// rewind_to(k) restores the state to "k elements consumed".  The engine
+// would diverge from the scalar one.  observe_batch() therefore
+// checkpoints the channel state after every element, and rewind_to(k)
+// restores the state to "k elements consumed".  The engine
 // calls it automatically when Config::faults is set; when wrapping a
 // source manually, drive the engine with max_batch = 1 (strict scalar) or
 // call rewind_to() yourself after partial consumption.
@@ -67,27 +67,10 @@ class FaultyObservationSource final : public ObservationSource<Block> {
     }
   }
 
-  /// Wide transport with identical delivery semantics: the inner source
-  /// fills the transposed batch (its lockstep fast path stays live), then
-  /// each lane is corrupted in order and stored back.  extract(i)
-  /// afterwards equals what the scalar observe() chain would deliver.
-  void observe_wide(std::span<const Block> plaintexts, unsigned stage,
-                    WideObservationBatch& out) override {
-    inner_->observe_wide(plaintexts, stage, out);
-    checkpoints_.clear();
-    checkpoints_.push_back(channel_.state());
-    for (unsigned lane = 0; lane < out.width(); ++lane) {
-      Observation o = out.extract(lane);
-      channel_.corrupt(o);
-      out.store(lane, o);
-      checkpoints_.push_back(channel_.state());
-    }
-  }
-
   /// Restores the fault channel to the state after `consumed` elements of
-  /// the last observe_batch()/observe_wide() call, as if the discarded
-  /// tail had never been observed.  A no-op when the whole batch was
-  /// consumed or no batch is pending.
+  /// the last observe_batch() call, as if the discarded tail had never
+  /// been observed.  A no-op when the whole batch was consumed or no
+  /// batch is pending.
   void rewind_to(std::size_t consumed) {
     if (consumed < checkpoints_.size()) channel_.restore(checkpoints_[consumed]);
     checkpoints_.clear();

@@ -13,7 +13,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <utility>
 
 namespace grinch::target {
 
@@ -90,39 +89,6 @@ class LineSet {
   /// Number of set entries.
   [[nodiscard]] constexpr unsigned count() const noexcept {
     return static_cast<unsigned>(std::popcount(bits_));
-  }
-
-  /// {count(), index of the lowest set entry} in two word ops; the first
-  /// index is size() when the set is empty.  Replaces the per-bit
-  /// scan-then-count loops of the eliminators.  Already optimal on every
-  /// target — std::popcount/std::countr_zero lower to single POPCNT /
-  /// TZCNT (or RBIT+CLZ) instructions, so the kernel layer deliberately
-  /// leaves this reduction alone.
-  [[nodiscard]] constexpr std::pair<unsigned, unsigned> count_and_first()
-      const noexcept {
-    const unsigned first =
-        bits_ ? static_cast<unsigned>(std::countr_zero(bits_)) : size_;
-    return {static_cast<unsigned>(std::popcount(bits_)), first};
-  }
-
-  /// Scatters this set into a lane-transposed layout: for every row
-  /// r < size(), bit `lane` of lanes[r] becomes test(r) (other lanes'
-  /// bits are untouched), so lanes[r] accumulates row r's verdict across
-  /// up to 64 trials.  Idempotent per lane — re-storing a corrected
-  /// observation overwrites the lane's previous bits.
-  ///
-  /// This is the *single-lane* scatter (store()-style corrections).  When
-  /// all 64 lanes change at once the wide path instead runs one 64x64
-  /// bit-matrix transpose through the kernel layer — see
-  /// WideObservationBatch::assign_all and cachesim/kernels/kernels.h —
-  /// which replaces 64 of these per-row loops with 6 SWAR/AVX2 block-swap
-  /// passes.
-  constexpr void transpose_into(std::uint64_t* lanes, int lane) const noexcept {
-    assert(lane >= 0 && lane < static_cast<int>(kMaxBits));
-    const std::uint64_t bit = std::uint64_t{1} << lane;
-    for (unsigned r = 0; r < size_; ++r) {
-      lanes[r] = ((bits_ >> r) & 1u) ? (lanes[r] | bit) : (lanes[r] & ~bit);
-    }
   }
 
   friend constexpr bool operator==(const LineSet&, const LineSet&) noexcept =

@@ -32,7 +32,7 @@ template class KeyRecoveryEngine<Present80Recovery>;
 template class FaultyObservationSource<std::uint64_t>;
 template class FaultyObservationSource<gift::State128>;
 
-// Wide path: the lockstep observation core and the multi-trial engine,
+// Wide path: the 64-lane observation core and the multi-trial engine,
 // per registered cipher.
 template class WideObserveCore<Gift64Recovery>;
 template class WideObserveCore<Gift128Recovery>;

@@ -67,17 +67,10 @@ struct Observation {
 using ObservationBatch = std::vector<Observation>;
 
 /// Struct-of-arrays batch of up to 64 observations, transposed: the
-/// presence verdicts live row-major — bit `lane` of lanes_present(r) is
-/// trial `lane`'s verdict for S-Box row r — so per-row fan-out,
-/// dropped-lane skipping and cross-trial reductions are single word ops
-/// instead of per-observation loops (docs/TARGETS.md, "Wide path").
-///
-/// store()/extract() round-trip exactly: extract(l) after store(l, o)
-/// returns an Observation equal to `o`.  store() is idempotent per lane,
-/// so a decorator may overwrite a lane with a corrected observation
-/// (FaultyObservationSource does).  Lanes may carry different
-/// present.size() values (per-lane `rows`), but lanes_present() words are
-/// only meaningful across lanes of equal size.
+/// presence verdicts live row-major — bit `lane` of row word r is lane
+/// `lane`'s verdict for S-Box index r — so WideObserveCore writes all 64
+/// lanes with one kernel bit transpose (docs/TARGETS.md, "The wide
+/// path").  One writer (assign_all), one reader (extract/present_word).
 class WideObservationBatch {
  public:
   static constexpr unsigned kMaxWidth = 64;
@@ -88,74 +81,34 @@ class WideObservationBatch {
     width_ = width;
     rows_ = rows;
     row_lanes_.fill(0);
-    dropped_ = 0;
   }
 
   [[nodiscard]] unsigned width() const noexcept { return width_; }
   [[nodiscard]] unsigned rows() const noexcept { return rows_; }
 
-  /// Fast transposed writer for platforms: the lane's presence verdicts as
-  /// one word over `rows()` rows, no sbox_hits, not dropped.
-  void set_lane(unsigned lane, std::uint64_t present_word,
-                unsigned probed_after, std::uint64_t cycles) noexcept {
-    assert(lane < width_);
-    const std::uint64_t bit = std::uint64_t{1} << lane;
-    for (unsigned r = 0; r < rows_; ++r) {
-      row_lanes_[r] =
-          ((present_word >> r) & 1u) ? (row_lanes_[r] | bit)
-                                     : (row_lanes_[r] & ~bit);
-    }
-    lane_rows_[lane] = static_cast<std::uint8_t>(rows_);
-    lane_probed_after_[lane] = probed_after;
-    lane_cycles_[lane] = cycles;
-    dropped_ &= ~bit;
-    lane_sbox_hits_[lane] = LineSet{};
-  }
-
-  /// Bulk transposed writer: one kernel 64x64 bit transpose replaces 64
-  /// per-lane set_lane() scatters.  present_words[l] carries lane l's
-  /// verdicts over rows() rows; entries for lanes >= width() and bits
-  /// >= rows() must be zero (the transpose writes all 64 row words
-  /// verbatim, and reset() guarantees those rows/bits read zero).
-  /// Equivalent to set_lane(l, present_words[l], probed_after[l],
-  /// cycles[l]) for every lane l < width() on a freshly reset() batch.
+  /// Bulk transposed writer: one kernel 64x64 bit transpose.
+  /// present_words[l] carries lane l's verdicts over rows() rows; entries
+  /// for lanes >= width() and bits >= rows() must be zero (the transpose
+  /// writes all 64 row words verbatim).
   void assign_all(const std::uint64_t* present_words,
                   const std::uint32_t* probed_after,
                   const std::uint64_t* cycles) noexcept {
     cachesim::kernels::active().transpose_64x64(present_words,
                                                row_lanes_.data());
     for (unsigned l = 0; l < width_; ++l) {
-      lane_rows_[l] = static_cast<std::uint8_t>(rows_);
       lane_probed_after_[l] = probed_after[l];
       lane_cycles_[l] = cycles[l];
-      lane_sbox_hits_[l] = LineSet{};
     }
-    dropped_ = 0;
   }
 
-  /// General writer (fallback paths, fault decorators): stores a full
-  /// Observation into `lane`, overwriting whatever the lane held.
-  void store(unsigned lane, const Observation& o) noexcept {
-    assert(lane < width_ && o.present.size() <= LineSet::kMaxBits);
-    o.present.transpose_into(row_lanes_.data(), static_cast<int>(lane));
-    lane_rows_[lane] = static_cast<std::uint8_t>(o.present.size());
-    lane_probed_after_[lane] = o.probed_after_round;
-    lane_cycles_[lane] = o.attacker_cycles;
-    const std::uint64_t bit = std::uint64_t{1} << lane;
-    dropped_ = o.dropped ? (dropped_ | bit) : (dropped_ & ~bit);
-    lane_sbox_hits_[lane] = o.sbox_hits;
-  }
-
-  /// Rebuilds lane `lane`'s Observation, bit-identical to what store()
-  /// put in (or to the scalar observe() the platform's wide path models).
+  /// Rebuilds lane `lane`'s Observation, bit-identical to the scalar
+  /// observe() the wide path models.
   [[nodiscard]] Observation extract(unsigned lane) const noexcept {
     assert(lane < width_);
     Observation o;
-    o.present = LineSet::from_word(present_word(lane), lane_rows_[lane]);
+    o.present = LineSet::from_word(present_word(lane), rows_);
     o.probed_after_round = lane_probed_after_[lane];
     o.attacker_cycles = lane_cycles_[lane];
-    o.dropped = ((dropped_ >> lane) & 1u) != 0;
-    o.sbox_hits = lane_sbox_hits_[lane];
     return o;
   }
 
@@ -163,19 +116,8 @@ class WideObservationBatch {
   /// order (the kernel column gather — hot in the engines' per-lane
   /// extract step).
   [[nodiscard]] std::uint64_t present_word(unsigned lane) const noexcept {
-    return cachesim::kernels::active().gather_column(row_lanes_.data(),
-                                                     lane_rows_[lane], lane);
-  }
-
-  /// Transposed accessor: bit l = lane l saw row `row` present.
-  [[nodiscard]] std::uint64_t lanes_present(unsigned row) const noexcept {
-    assert(row < LineSet::kMaxBits);
-    return row_lanes_[row];
-  }
-
-  /// Bit l = lane l's observation is detectably dropped.
-  [[nodiscard]] std::uint64_t dropped_lanes() const noexcept {
-    return dropped_;
+    return cachesim::kernels::active().gather_column(row_lanes_.data(), rows_,
+                                                     lane);
   }
 
  private:
@@ -183,11 +125,8 @@ class WideObservationBatch {
   unsigned rows_ = 0;
   /// row_lanes_[r] bit l: lane l's verdict for row r (the transposition).
   std::array<std::uint64_t, LineSet::kMaxBits> row_lanes_{};
-  std::array<std::uint8_t, kMaxWidth> lane_rows_{};
   std::array<std::uint32_t, kMaxWidth> lane_probed_after_{};
   std::array<std::uint64_t, kMaxWidth> lane_cycles_{};
-  std::uint64_t dropped_ = 0;
-  std::array<LineSet, kMaxWidth> lane_sbox_hits_{};
 };
 
 /// A platform the attack can drive: one monitored encryption per call.
@@ -218,25 +157,6 @@ class ObservationSource {
     }
   }
 
-  /// observe_batch into a transposed WideObservationBatch: out.extract(i)
-  /// is bit-identical to what observe(plaintexts[i], stage) would have
-  /// produced, and last_ciphertext() afterwards refers to the final
-  /// element.  plaintexts.size() must be <= WideObservationBatch::
-  /// kMaxWidth.  Platforms with a lockstep fast path override this to
-  /// advance all lanes through a shared transposed cache state
-  /// (DirectProbePlatform); the default transposes the scalar batch, so
-  /// overriding is never required for correctness.
-  virtual void observe_wide(std::span<const Block> plaintexts, unsigned stage,
-                            WideObservationBatch& out) {
-    assert(plaintexts.size() <= WideObservationBatch::kMaxWidth);
-    observe_batch(plaintexts, stage, scratch_);
-    out.reset(static_cast<unsigned>(plaintexts.size()),
-              scratch_.empty() ? 0u : scratch_.front().present.size());
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-      out.store(static_cast<unsigned>(i), scratch_[i]);
-    }
-  }
-
   /// Hints which segment the attacker currently targets; platforms with
   /// precision probing (§III-D "Cache Probing Precision") time their
   /// probe right after that segment's S-Box access.  Default: ignored.
@@ -253,10 +173,6 @@ class ObservationSource {
   /// verifies its recovered key against it).  Platforms running the
   /// partial-round fast path complete the encryption lazily here.
   [[nodiscard]] virtual Block last_ciphertext() const = 0;
-
- private:
-  /// Warm buffer for the default observe_wide (never reallocates once hot).
-  ObservationBatch scratch_;
 };
 
 /// Computes index->line ids for a layout under a given line size.

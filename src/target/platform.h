@@ -33,7 +33,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -84,43 +83,6 @@ class DirectProbePlatform final
     for (std::size_t i = 0; i < plaintexts.size(); ++i) {
       out[i] = observe_at(plaintexts[i], window);
     }
-  }
-
-  void observe_wide(std::span<const Block> plaintexts, unsigned stage,
-                    WideObservationBatch& out) override {
-    // The lockstep fast path is exact only on LRU-without-prefetch
-    // configurations (cachesim/lockstep.h); everything else transposes
-    // the scalar batch through the base-class default.  Deliberately NOT
-    // the core's per-lane fallback mode: this method's pinned contract
-    // is *sequential* equivalence (out[i] == the i-th observe() on this
-    // platform's one cache), which independent per-lane caches do not
-    // reproduce — per-lane wideness on unsupported configs lives in the
-    // multi-trial engine (target/wide_engine.h).
-    if (!WideObserveCore<Traits>::supported(config_.cache) ||
-        plaintexts.empty()) {
-      ObservationSource<Block>::observe_wide(plaintexts, stage, out);
-      return;
-    }
-    if (wide_core_ == nullptr) {
-      wide_core_ = std::make_unique<WideObserveCore<Traits>>(config_.cache,
-                                                             config_.layout);
-    }
-    const ProbeWindow window = window_for(stage);
-    const unsigned instrument_from =
-        config_.use_flush ? window.monitored_from : 0;
-    wide_jobs_.resize(plaintexts.size());
-    for (std::size_t i = 0; i < plaintexts.size(); ++i) {
-      wide_jobs_[i] = {&schedule_, plaintexts[i], window, instrument_from,
-                       static_cast<unsigned>(i)};
-    }
-    wide_states_.resize(plaintexts.size());
-    wide_core_->run(std::span<const typename WideObserveCore<Traits>::Job>(
-                        wide_jobs_),
-                    out, wide_states_.data());
-    // Same bookkeeping as the scalar pipeline's final element.
-    last_pt_ = plaintexts.back();
-    last_ct_valid_ = window.emit_rounds >= Traits::kRounds;
-    if (last_ct_valid_) last_ct_ = wide_states_.back();
   }
 
   [[nodiscard]] const TableLayout& layout() const override {
@@ -195,11 +157,6 @@ class DirectProbePlatform final
   typename Traits::TableCipher::Schedule schedule_;
   std::vector<unsigned> line_ids_;
   gift::VectorTraceSink sink_;
-  /// Wide-path state, created on first observe_wide (nullptr until then,
-  /// so scalar-only users pay nothing).
-  std::unique_ptr<WideObserveCore<Traits>> wide_core_;
-  std::vector<typename WideObserveCore<Traits>::Job> wide_jobs_;
-  std::vector<Block> wide_states_;
   Block last_pt_{};
   mutable Block last_ct_{};
   mutable bool last_ct_valid_ = true;  ///< Block{} before any observation

@@ -78,8 +78,8 @@ class FlushReloadProber final : public CacheProber {
   }
 
   /// Per-index reload schedule, fixed at construction.  Public so the
-  /// wide observation path (target/wide_observe.h) can replay the exact
-  /// schedule against its lockstep cache lanes.
+  /// wide observation path's presence shortcut (target/wide_observe.h)
+  /// can reproduce the exact schedule without a cache.
   struct RowInfo {
     std::uint64_t addr = 0;      ///< the row's byte address
     std::uint8_t line_slot = 0;  ///< dense id of the row's cache line

@@ -58,13 +58,8 @@
 //    observations, so the engine rewinds the fault channel to the
 //    consumed prefix after every batch (FaultyObservationSource::
 //    rewind_to), restoring the same guarantee.
-//  * Config::wide_width > 1 moves the speculative batches onto the
-//    transposed wide transport (ObservationSource::observe_wide): up to
-//    wide_width trials per call run through the lockstep cache fast path
-//    where supported (and through the scalar pipeline otherwise), with
-//    every consumed Observation extracted bit-identically.  wide_width
-//    then REPLACES max_batch as the speculation ceiling; 1 keeps today's
-//    observe_batch path.
+//  * Many independent trials at once run on the multi-trial wide engine
+//    (target/wide_engine.h), which is bit-identical to this one per trial.
 //
 // Noise robustness (docs/ROBUSTNESS.md): the paper's MPSoC results
 // survive a channel with evictions, spurious hits and missed windows.
@@ -120,14 +115,6 @@ class KeyRecoveryEngine {
     /// a mispredict.  1 pins the engine to scalar observe() semantics
     /// (which every other value reproduces bit-identically anyway).
     unsigned max_batch = 16;
-    /// Wide transport width (clamped to [1, 64]).  1 = today's
-    /// observe_batch path.  > 1 routes speculative batches of up to
-    /// wide_width encryptions through ObservationSource::observe_wide —
-    /// the transposed lockstep fast path on supported cache configs, the
-    /// scalar pipeline otherwise — and supersedes max_batch as the
-    /// speculation ceiling.  Consumed observations, RNG stream and every
-    /// RecoveryResult field are bit-identical at any width.
-    unsigned wide_width = 1;
     /// Absent observations (without an intervening presence) needed to
     /// eliminate a candidate.  1 = the paper's hard elimination, the
     /// table-lookup fast path; raise to 2-3 on noisy channels where
@@ -199,10 +186,7 @@ class KeyRecoveryEngine {
     std::vector<typename Recovery::StageKey> recovered;
     Block last_pt{};
     bool observed_any = false;
-    const unsigned wide_width = std::clamp(config_.wide_width, 1u, 64u);
-    const bool wide = wide_width > 1;
-    const unsigned max_batch =
-        wide ? wide_width : std::max(config_.max_batch, 1u);
+    const unsigned max_batch = std::max(config_.max_batch, 1u);
     const ElimParams params{
         std::max(config_.vote_threshold, 1u),
         std::max(config_.max_vote_threshold,
@@ -261,12 +245,7 @@ class KeyRecoveryEngine {
           while (pts_.size() < want) {
             pts_.push_back(crafter.craft(st.cursor, recovered, stage));
           }
-          if (wide) {
-            source.observe_wide(std::span<const Block>(pts_), stage,
-                                wide_batch_);
-          } else {
-            source.observe_batch(std::span<const Block>(pts_), stage, batch_);
-          }
+          source.observe_batch(std::span<const Block>(pts_), stage, batch_);
           last_pt = pts_.back();
           observed_any = true;
           rng_ = rng_snapshot;
@@ -298,9 +277,7 @@ class KeyRecoveryEngine {
                 break;
               }
             }
-            const Observation obs =
-                wide ? wide_batch_.extract(static_cast<unsigned>(j))
-                     : batch_[j];
+            const Observation obs = batch_[j];
             ++result.total_encryptions;
             ++result.stage_encryptions[stage];
             ++consumed;
@@ -389,7 +366,6 @@ class KeyRecoveryEngine {
   /// Batch buffers, reused across the run (warm after one iteration).
   std::vector<Block> pts_;
   ObservationBatch batch_;
-  WideObservationBatch wide_batch_;
 };
 
 }  // namespace grinch::target

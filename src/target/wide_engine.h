@@ -3,12 +3,12 @@
 // WideRecoveryEngine runs up to 64 *independent recovery trials* (own
 // victim key, own RNG seed, own fault channel) in lockstep: per outer
 // step every unfinished lane crafts its next plaintext, all lanes'
-// monitored encryptions execute as ONE WideObserveCore run over the
-// transposed lockstep cache (cachesim/lockstep.h), and each lane consumes
-// its extracted observation through the same StageState machine the
-// scalar engine uses (target/stage_state.h).  That amortises the
-// per-observation dispatch across the whole fleet — the multi-trial
-// throughput benches (BM_WideRecovery) scale near-linearly with width.
+// monitored encryptions execute as ONE WideObserveCore run
+// (target/wide_observe.h), and each lane consumes its extracted
+// observation through the same StageState machine the scalar engine uses
+// (target/stage_state.h).  That amortises the per-observation dispatch
+// across the whole fleet — the multi-trial throughput benches
+// (BM_WideRecovery) scale near-linearly with width.
 //
 // Conformance contract: lane i's RecoveryResult is bit-identical to
 //
@@ -24,14 +24,13 @@
 // scalar decorator's delivery sequence, including the finalize
 // verification observation.
 //
-// On cache configurations without a lockstep fast path
-// (!WideObserveCore::supported — FIFO/PLRU/Random, prefetchers) the
-// same core runs in its per-lane fallback mode: every trial keeps a
-// stable backing-lane slot whose scalar cache/prober state persists
-// across group steps (reset at trial start), so the engine's gather/
-// observe/scatter loop is identical in both modes and the results stay
-// bit-identical to scalar trials (see wide_observe.h, "Per-lane
-// fallback").
+// Every trial keeps a stable backing-lane slot in the core for its
+// lifetime, reset at trial start.  Observations the core's presence
+// shortcut cannot serve (every one on FIFO/PLRU/Random or prefetching
+// caches) run on that slot's scalar cache/prober, whose state persists
+// across group steps exactly like a scalar platform's cache, so the
+// results stay bit-identical to scalar trials on every cache
+// configuration (see wide_observe.h).
 #pragma once
 
 #include <algorithm>
@@ -119,7 +118,7 @@ class WideRecoveryEngine {
     finisher::FinishTracker<Recovery> tracker;
     typename Recovery::TableCipher::Schedule schedule{};
     /// Stable backing-lane slot in the core for this trial's lifetime
-    /// (keys the persistent per-lane cache state in fallback mode).
+    /// (keys the persistent per-lane scalar cache state).
     unsigned slot = 0;
     std::optional<FaultChannel> channel;
     StageState<Recovery> st;
@@ -172,9 +171,8 @@ class WideRecoveryEngine {
       const Key128 key = Recovery::canonical_key(spec.victim_key);
       lane->schedule = cipher_.make_schedule(key);
       // Each trial owns one backing-lane slot for its whole lifetime;
-      // reset drops any previous trial's persistent fallback-lane cache
-      // (a fast-path no-op), so the trial starts cold exactly like a
-      // fresh scalar platform.
+      // reset drops any previous trial's persistent scalar-lane cache, so
+      // the trial starts cold exactly like a fresh scalar platform.
       lane->slot = static_cast<unsigned>(lanes.size());
       core_.reset_lane_state(lane->slot);
       if (finishing_) {
@@ -237,8 +235,8 @@ class WideRecoveryEngine {
       }
       if (active.empty()) break;
 
-      // Observe: every active lane's encryption in one lockstep run
-      // (per-lane fallback lanes advance their persistent caches here).
+      // Observe: every active lane's encryption in one core run (jobs
+      // the shortcut cannot serve advance their lane's scalar cache).
       core_.run(std::span<const Job>(jobs_), wide_batch_, states_.data());
 
       // Scatter: per lane, corrupt (own channel), consume, advance.
@@ -387,8 +385,8 @@ class WideRecoveryEngine {
   ElimParams params_;
   bool faulted_;
   bool finishing_;
-  /// Always constructed: fast path on supported configs, per-lane scalar
-  /// fallback otherwise (wide_observe.h) — one engine loop either way.
+  /// Presence shortcut where it applies, per-lane scalar lanes otherwise
+  /// (wide_observe.h) — one engine loop on every cache configuration.
   WideObserveCore<Recovery> core_;
   /// Group-step buffers, reused across the run.
   std::vector<Job> jobs_;

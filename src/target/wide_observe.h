@@ -1,57 +1,71 @@
-// The 64-wide lockstep observation core.
+// The 64-wide observation core.
 //
-// WideObserveCore runs up to 64 monitored partial-round encryptions in
-// lockstep.  It has two modes, chosen once at construction:
+// WideObserveCore runs up to 64 monitored partial-round encryptions per
+// call, one per job, and writes their observations transposed into a
+// WideObservationBatch through one kernel 64x64 bit transpose
+// (WideObservationBatch::assign_all).  Each job takes one of two exact
+// routes:
 //
-//  * Fast path (supported() configurations — LRU without a prefetcher):
-//    a transposed multi-lane cache (cachesim/lockstep.h).  Per lane, the
-//    instrumented victim encryption streams its table accesses straight
-//    into the lane's cache state (no materialized access vector — the
-//    fused sink replaces the collect-then-replay scalar pipeline), the
-//    attacker's flush collapses to pure cycle accounting on the cold
-//    lane, and the Flush+Reload probe replays the prober's fixed reload
-//    schedule against the lane.  The per-set scans run through the
-//    runtime-dispatched SIMD kernel layer (cachesim/kernels/kernels.h).
-//    Layered on top is the presence-bitmap shortcut (run_presence): when
-//    a per-observation capacity test proves no monitored set could have
-//    evicted, the lane cache is bypassed entirely and the verdicts fall
-//    out of one 64-bit touched-lines bitmap; when the test trips, the
-//    job transparently re-runs through the exact lockstep lane.
+//  * Presence-bitmap shortcut (run_presence) — LRU without a prefetcher
+//    (supported()) and monitored lines forming one contiguous line range
+//    (every registered cipher: the monitored region is one S-Box table).
+//    The instrumented encryption streams its window accesses into a sink
+//    that records only which monitored lines were touched and how many
+//    accesses hit each cache set; a per-observation capacity test then
+//    proves that no monitored line could have been evicted, and every
+//    verdict and cycle count falls out of one 64-bit touched-lines
+//    bitmap.  No cache state is read or written.
 //
-//  * Per-lane fallback (everything else — FIFO/PLRU/Random replacement,
-//    prefetchers): every backing lane owns a scalar cachesim::Cache +
+//  * Per-lane scalar lane (run_fallback) — every other job: the shortcut's
+//    capacity test tripped (deep window on a shallow cache, aliased
+//    layout), the monitored lines are not contiguous, or the
+//    configuration is not supported() (FIFO/PLRU/Random replacement,
+//    prefetchers).  Every backing lane owns a scalar cachesim::Cache +
 //    FlushReloadProber pair and replays the exact scalar
 //    DirectProbePlatform::observe() pipeline (collect accesses, replay
 //    rounds around the attacker's flush point, probe).  Lane state
-//    persists across run() calls — precisely like the scalar platform's
-//    cache persists across a trial's observations — keyed by Job::lane,
-//    so callers running multi-trial fleets (target/wide_engine.h) give
-//    each trial a stable lane slot and reset_lane_state() it when the
-//    trial starts.  supported() therefore means "fast path available",
-//    not "wide path available": observe-wide semantics (lanes are
-//    *independent* trials) hold in both modes.
+//    persists across run() calls — like the scalar platform's cache
+//    persists across a trial's observations — keyed by Job::lane on every
+//    configuration, so callers running multi-trial fleets
+//    (target/wide_engine.h) give each trial a stable lane slot and
+//    reset_lane_state() it when the trial starts.
 //
-// Either way the results land transposed in a WideObservationBatch via
-// one kernel 64x64 bit transpose (WideObservationBatch::assign_all).
+// Exactness.  Every verdict, probed_after_round and attacker_cycles value
+// is bit-identical to the scalar DirectProbePlatform::observe() pipeline
+// whose cache carries the trial's full warm history.  The scalar lane is
+// that pipeline, so it matches by construction on every configuration.
+// The shortcut, and the scalar lane on a supported() configuration whose
+// lane holds a different history than the scalar platform's cache (older
+// shortcut-served jobs never touch it), rest on one property of LRU
+// without a prefetcher: a lane's contents from before the attacker's
+// flush cannot change a verdict.
+//   * A set's LRU state is a recency stack of at most `ways` lines; a
+//     line is evicted exactly when `ways` distinct other lines of its set
+//     have been accessed since its own last access (invalid ways fill
+//     first, a hit or fill moves a line to most-recent).  Whether it is
+//     resident therefore depends only on accesses after its last access,
+//     never on what the set held before.
+//   * The attacker flushes every monitored line before the window (or
+//     before round 0 without use_flush).  At the probe a monitored line
+//     is present iff an access after that flush — the window, or an
+//     earlier reload of the probe itself — brought it in, and fewer than
+//     `ways` distinct other lines of its set were accessed after that.
+//     Both halves read only accesses after the flush.
+//   * A reload's latency is the hit or miss latency of that verdict, and
+//     the flush costs sbox_rows() x flush_latency whatever it removes.
+// Older lines — from this trial's earlier observations, from another
+// trial that used the lane, or none at all — are only ever victimised
+// first, and no reported value reads them.  FIFO breaks the argument
+// (hits do not refresh recency), PLRU and Random track state that is
+// not a recency stack, and a prefetcher drags neighbour lines across the
+// flush boundary; on those configurations the shortcut stays off and the
+// scalar lane's exact warm history is load-bearing.  The conformance
+// suites pin both routes per registered cipher, including a config
+// sweep where the shortcut trips or never engages
+// (tests/target/wide_conformance_test.cpp).
 //
-// Exactness: on the fast path every verdict, probed_after_round and
-// attacker_cycles value is bit-identical to the scalar
-// DirectProbePlatform::observe() pipeline (the cold-lane argument is
-// spelled out in cachesim/lockstep.h); in fallback mode the same holds
-// because each lane literally executes that pipeline against its own
-// warm scalar cache.  The conformance suites pin both modes per
-// registered cipher (tests/target/wide_conformance_test.cpp).
-//
-// NOTE: DirectProbePlatform::observe_wide still routes unsupported
-// configurations through the transposing ObservationSource default — its
-// pinned contract is *sequential* equivalence (one cache, observations
-// in order), which per-lane-independent caches intentionally do not
-// reproduce.  The fallback mode exists for per-lane-independent callers
-// (the wide recovery engine, future defense matrices at width 64).
-//
-// Jobs carry their own schedule/window/lane, so one core serves both
-// platform-internal wide batches (one victim key, one stage — see
-// DirectProbePlatform::observe_wide) and the multi-trial wide recovery
+// Jobs carry their own schedule/window/lane, so one core serves jobs of
+// one victim key and stage as well as the multi-trial wide recovery
 // engine (per-lane keys and stages — target/wide_engine.h).
 #pragma once
 
@@ -61,13 +75,10 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "cachesim/cache.h"
-#include "cachesim/kernels/kernels.h"
-#include "cachesim/lockstep.h"
 #include "common/bits.h"
 #include "gift/table_gift.h"
 #include "target/observation.h"
@@ -143,56 +154,6 @@ class PresenceSink final {
   bool live_ = false;
 };
 
-/// Statically-typed sink (TraceSink callback shape, no vtable — the
-/// ciphers' templated encrypt_with_schedule inlines it into the round
-/// loop) that feeds a lane of the lockstep cache directly from the
-/// instrumented encryption.  Two exact filters keep the hot path lean:
-///   * rounds before `instrument_from` are skipped — their cache effect
-///     is provably irrelevant on supported configs (cachesim/lockstep.h);
-///   * accesses whose cache set holds no monitored line are skipped —
-///     sets of a set-associative cache are fully independent, so traffic
-///     to an unmonitored set can never change a monitored line's
-///     presence or a probe latency, and no reported value reads those
-///     sets (the lane is reset before every job).
-class LockstepSink final {
- public:
-  /// `monitored_sets` is a num_sets-bit bitmap (bit s = set s holds a
-  /// monitored line) owned by the core; `line_shift`/`sets_shift`/
-  /// `set_mask` replicate the lane cache's addr -> (set, tag) mapping.
-  /// The session carries the lane (see LockstepCaches::LaneSession); the
-  /// set split out for the bitmap filter is reused for the lane access,
-  /// so each monitored touch decomposes its address exactly once.
-  LockstepSink(cachesim::LockstepCaches::LaneSession& session,
-               unsigned instrument_from, const std::uint64_t* monitored_sets,
-               unsigned line_shift, unsigned sets_shift,
-               std::uint64_t set_mask) noexcept
-      : session_(&session),
-        monitored_(monitored_sets),
-        set_mask_(set_mask),
-        from_(instrument_from),
-        line_shift_(line_shift),
-        sets_shift_(sets_shift) {}
-
-  void on_round_begin(unsigned round) noexcept { live_ = round >= from_; }
-  void on_access(const gift::TableAccess& access) {
-    if (!live_) return;
-    const std::uint64_t line = access.addr >> line_shift_;
-    const std::uint64_t set = line & set_mask_;
-    if (((monitored_[set >> 6] >> (set & 63)) & 1u) == 0) return;
-    (void)session_->access_line(set, line >> sets_shift_);
-  }
-  void on_round_end(unsigned /*round*/) noexcept {}
-
- private:
-  cachesim::LockstepCaches::LaneSession* session_;
-  const std::uint64_t* monitored_;
-  std::uint64_t set_mask_;
-  unsigned from_;
-  unsigned line_shift_;
-  unsigned sets_shift_;
-  bool live_ = false;
-};
-
 template <typename Traits>
 class WideObserveCore {
  public:
@@ -200,14 +161,13 @@ class WideObserveCore {
   using Schedule = typename Traits::TableCipher::Schedule;
 
   /// One lane's work order.  `instrument_from` is the first round whose
-  /// accesses touch the lane cache: window.monitored_from when the
-  /// attacker flushes right before the window (use_flush), 0 otherwise
-  /// (the flush then precedes round 0, so every emitted round counts).
-  /// `lane` is the stable backing-lane slot: irrelevant on the fast path
-  /// (lanes are cold per job, any distinct-or-not assignment works) but
-  /// load-bearing in fallback mode, where it keys the lane's persistent
-  /// scalar cache state — multi-trial callers must give each trial a
-  /// stable slot for its lifetime.
+  /// accesses the presence shortcut counts: window.monitored_from when
+  /// the attacker flushes right before the window (use_flush), 0
+  /// otherwise (the flush then precedes round 0, so every emitted round
+  /// counts).  `lane` is the backing scalar lane that serves the job when
+  /// the shortcut cannot: it keys that lane's persistent cache state, so
+  /// multi-trial callers must give each trial a stable slot for its
+  /// lifetime.  Jobs that share a lane run against it in job order.
   struct Job {
     const Schedule* schedule = nullptr;
     Block plaintext{};
@@ -216,12 +176,13 @@ class WideObserveCore {
     unsigned lane = 0;
   };
 
-  /// True when the lockstep *fast path* is exact for this configuration.
-  /// Wideness itself is always available: unsupported configurations run
-  /// the per-lane scalar fallback (header comment).
+  /// True when the presence shortcut is exact for this configuration
+  /// (LRU, no prefetcher — header comment).  Every configuration is
+  /// served; unsupported ones run every job on its scalar lane.
   [[nodiscard]] static bool supported(
       const cachesim::CacheConfig& config) noexcept {
-    return cachesim::LockstepCaches::supports(config);
+    return config.replacement == cachesim::Replacement::kLru &&
+           config.prefetch_lines == 0;
   }
 
   WideObserveCore(const cachesim::CacheConfig& cache_config,
@@ -234,39 +195,18 @@ class WideObserveCore {
         hit_latency_(cache_config.hit_latency),
         miss_latency_(cache_config.miss_latency),
         line_shift_(log2_pow2(cache_config.line_bytes)),
-        sets_shift_(log2_pow2(cache_config.num_sets)),
         set_mask_(cache_config.num_sets - 1) {
-    if (supported(cache_config)) {
-      caches_.emplace(cache_config, WideObservationBatch::kMaxWidth);
-    } else {
-      lanes_.resize(WideObservationBatch::kMaxWidth);
-    }
+    lanes_.resize(WideObservationBatch::kMaxWidth);
     // Replicate FlushReloadProber's fixed reload schedule and threshold
     // exactly (same dedup, same descending order) via a scratch instance.
     cachesim::Cache scratch{cache_config};
     const FlushReloadProber prober{scratch, layout};
     rows_ = prober.rows();
     threshold_ = prober.threshold();
-    // Bitmap of cache sets holding a monitored line: the sink drops
-    // victim traffic to every other set (exact — see LockstepSink).
-    monitored_sets_.assign((cache_config.num_sets + 63) / 64, 0);
-    for (const auto& row : rows_) {
-      const std::uint64_t set = (row.addr >> line_shift_) & set_mask_;
-      monitored_sets_[set >> 6] |= std::uint64_t{1} << (set & 63);
-    }
-    // Probe rows with the addr -> (set, tag) split hoisted out of the
-    // per-observation loop (the schedule is fixed for the core's life).
-    for (unsigned index = 0; index < probe_rows_.size(); ++index) {
-      const auto& row = rows_[index];
-      const std::uint64_t line = row.addr >> line_shift_;
-      probe_rows_[index] = {line & set_mask_, line >> sets_shift_,
-                            row.line_slot, row.reload};
-    }
     // Presence-bitmap shortcut metadata (run_presence): the distinct
     // monitored lines are the reload rows.  The shortcut needs them to
-    // form one contiguous line range (true for every registered cipher —
-    // the monitored region is one contiguous S-Box table) and a per-set
-    // counter array small enough to clear per observation.
+    // form one contiguous line range and a per-set counter array small
+    // enough to clear per observation.
     std::uint64_t min_line = ~std::uint64_t{0};
     std::uint64_t max_line = 0;
     probe_fills_.assign(cache_config.num_sets, 0);
@@ -277,11 +217,13 @@ class WideObserveCore {
       max_line = std::max(max_line, line);
       ++n_lines_;
       const std::uint64_t set = line & set_mask_;
-      if (probe_fills_[set]++ == 0) monitored_set_list_.push_back(set);
+      if (probe_fills_[set]++ == 0) {
+        monitored_set_list_.push_back(static_cast<std::uint32_t>(set));
+      }
     }
     first_line_ = min_line;
-    presence_ok_ = caches_.has_value() && n_lines_ > 0 && n_lines_ <= 64 &&
-                   max_line - min_line + 1 == n_lines_ &&
+    presence_ok_ = supported(cache_config) && n_lines_ > 0 &&
+                   n_lines_ <= 64 && max_line - min_line + 1 == n_lines_ &&
                    cache_config.num_sets <= 4096;
     if (presence_ok_) {
       set_counts_.assign(cache_config.num_sets, 0);
@@ -295,25 +237,19 @@ class WideObserveCore {
     }
   }
 
-  /// True when this core runs the lockstep fast path (false: per-lane
-  /// scalar fallback).
-  [[nodiscard]] bool fast_path() const noexcept { return caches_.has_value(); }
-
-  /// Drops backing lane `lane`'s persistent trial state.  Fast path:
-  /// no-op (lanes are cold per job).  Fallback mode: the lane's scalar
-  /// cache/prober are rebuilt cold, exactly like a fresh scalar platform
-  /// at trial start — callers must reset a slot before reusing it for a
-  /// new trial.
+  /// Drops backing lane `lane`'s persistent trial state: the lane's
+  /// scalar cache/prober are rebuilt cold, exactly like a fresh scalar
+  /// platform at trial start — callers must reset a slot before reusing
+  /// it for a new trial.
   void reset_lane_state(unsigned lane) {
-    if (caches_.has_value()) return;
     if (lane < lanes_.size()) lanes_[lane].reset();
   }
 
-  /// Runs jobs[l] on backing lane jobs[l].lane and stores its observation
-  /// transposed into out lane l.  When `states_out` is non-null,
-  /// states_out[l] receives the victim state after window.emit_rounds
-  /// rounds (the ciphertext when emit_rounds == Traits::kRounds).
-  /// Backing lanes of one call must be distinct in fallback mode.
+  /// Runs jobs[l] and stores its observation transposed into out lane l;
+  /// a job the shortcut cannot serve runs on backing lane jobs[l].lane.
+  /// When `states_out` is non-null, states_out[l] receives the victim
+  /// state after window.emit_rounds rounds (the ciphertext when
+  /// emit_rounds == Traits::kRounds).
   void run(std::span<const Job> jobs, WideObservationBatch& out,
            Block* states_out = nullptr) {
     out.reset(static_cast<unsigned>(jobs.size()), 16);
@@ -325,12 +261,7 @@ class WideObserveCore {
     for (std::size_t l = 0; l < jobs.size(); ++l) {
       const Job& job = jobs[l];
       Block state;
-      if (presence_ok_ && run_presence(job, present[l], cycles[l], state)) {
-        // Presence-bitmap shortcut succeeded (the common case on sane
-        // geometries: no monitored set could have evicted).
-      } else if (caches_.has_value()) {
-        state = run_fast(job, present[l], cycles[l]);
-      } else {
+      if (!presence_ok_ || !run_presence(job, present[l], cycles[l], state)) {
         state = run_fallback(job, present[l], cycles[l]);
       }
       if (states_out != nullptr) states_out[l] = state;
@@ -340,8 +271,8 @@ class WideObserveCore {
   }
 
  private:
-  /// One fallback lane: the scalar platform pipeline's cache + prober,
-  /// owned per backing lane so lanes stay independent trials.
+  /// One backing lane: the scalar platform pipeline's cache + prober,
+  /// owned per lane so lanes stay independent trials.
   struct FallbackLane {
     FallbackLane(const cachesim::CacheConfig& config,
                  const TableLayout& layout)
@@ -350,27 +281,26 @@ class WideObserveCore {
     FlushReloadProber prober;
   };
 
-  /// Presence-bitmap shortcut: the cheapest exact form of the fast path.
+  /// Presence-bitmap shortcut.
   ///
-  /// On a cold lane, if no monitored set ever exceeds its capacity, no
-  /// eviction can happen anywhere the probe looks — and then LRU order,
-  /// stamps and victim selection are all irrelevant: a monitored line is
-  /// present at the probe iff the window touched it.  The whole cache
-  /// model collapses to one 64-bit "touched" bitmap (monitored lines are
-  /// one contiguous line range, so membership is a subtract + compare)
-  /// plus per-set access counters for the capacity test:
+  /// By the LRU argument in the header, if no monitored set sees more
+  /// than `ways` distinct lines after the flush, no monitored line can be
+  /// evicted before its reload — and then recency order and victim
+  /// selection are irrelevant: a monitored line is present at the probe
+  /// iff the window touched it.  The whole cache model collapses to one
+  /// 64-bit "touched" bitmap (monitored lines are one contiguous line
+  /// range, so membership is a subtract + compare) plus per-set access
+  /// counters for the capacity test:
   ///   window accesses into set s  +  probe fills into s  <=  ways
   /// for every monitored set is a sufficient (conservative: duplicates
   /// and hits counted as fills) condition for zero evictions, checked
-  /// after the encryption.  When it fails — deep window on a shallow
-  /// cache, pathologically aliased layout — the job re-runs through the
-  /// exact lockstep lane (run_fast), so the shortcut never changes a
-  /// single bit, only the cost of producing it.  The scalar probe's
-  /// latency arithmetic is reproduced exactly, including degenerate
-  /// thresholds where hits and misses classify alike.
+  /// after the encryption.  When it fails the job re-runs on its scalar
+  /// lane (run_fallback), so the shortcut never changes a single bit,
+  /// only the cost of producing it.  The scalar probe's latency
+  /// arithmetic is reproduced exactly, including degenerate thresholds
+  /// where hits and misses classify alike.
   ///
-  /// Returns false on capacity-test failure (caller falls through to
-  /// run_fast).
+  /// Returns false on capacity-test failure.
   bool run_presence(const Job& job, std::uint64_t& present_out,
                     std::uint64_t& cycles_out, Block& state_out) {
     std::fill(set_counts_.begin(), set_counts_.end(),
@@ -402,7 +332,7 @@ class WideObserveCore {
         ((touched & hit_mask) | (~touched & miss_mask)) & lines_mask;
 
     // Fan the line verdicts out to line slots (the prober's indexing),
-    // then to rows — bit-compatible with run_fast's probe loop.
+    // then to rows — bit-compatible with FlushReloadProber::probe().
     std::uint64_t line_present = 0;
     for (unsigned i = 0; i < n_presence_rows_; ++i) {
       line_present |= ((line_bits >> presence_rows_[i].line_idx) & 1u)
@@ -410,7 +340,7 @@ class WideObserveCore {
     }
     std::uint64_t present_word = 0;
     for (unsigned index = 16; index-- > 0;) {
-      present_word |= ((line_present >> probe_rows_[index].line_slot) & 1u)
+      present_word |= ((line_present >> rows_[index].line_slot) & 1u)
                       << index;
     }
 
@@ -423,68 +353,13 @@ class WideObserveCore {
     return true;
   }
 
-  /// Fast path: fused encrypt-into-lane, cycle-only flush, schedule
-  /// replay probe (all against the cold lockstep lane, through one
-  /// register-resident LaneSession — pointers and the recency clock are
-  /// hoisted for the whole observation).
-  Block run_fast(const Job& job, std::uint64_t& present_out,
-                 std::uint64_t& cycles_out) {
-    const unsigned lane = job.lane;
-    caches_->reset_lane(lane);
-    cachesim::LockstepCaches::LaneSession session =
-        caches_->lane_session(lane);
-    // Warm the monitored sets' slot lines while the leading rounds run:
-    // every line the sink or the probe can touch belongs to a probe row's
-    // set, so this hides the lane's first-touch latency (the pool spans
-    // ~1 MiB at full width; the monitored working set per observation is
-    // a handful of scattered lines).
-    for (const ProbeRow& row : probe_rows_) session.prefetch_set(row.set);
-
-    // Victim window, fused: the encryption streams accesses of rounds
-    // [instrument_from, emit_rounds) straight into the lane cache,
-    // through the cipher's templated (sink-inlining) round loop.
-    LockstepSink sink{session,     job.instrument_from,
-                      monitored_sets_.data(), line_shift_,
-                      sets_shift_, set_mask_};
-    const Block state = cipher_.encrypt_with_schedule(
-        job.plaintext, *job.schedule, job.window.emit_rounds, &sink);
-
-    // prepare(): flushing monitored lines from a cold lane is a state
-    // no-op (pre-window lines do not exist here), so only the cycles
-    // remain.  The count matches the scalar prober whether the flush
-    // lands before round 0 (!use_flush) or before the window.
-    std::uint64_t cycles =
-        static_cast<std::uint64_t>(sbox_rows_) * flush_latency_;
-
-    // probe(): the prober's exact schedule — descending index order,
-    // one timed reload per distinct line, verdict fanned out via the
-    // line slot; misses fill the lane (the real pollution, too).
-    std::uint64_t present_word = 0;
-    std::uint32_t line_present = 0;
-    for (unsigned index = 16; index-- > 0;) {
-      const ProbeRow& row = probe_rows_[index];
-      if (row.reload) {
-        const bool hit = session.access_line(row.set, row.tag);
-        const std::uint64_t latency = hit ? hit_latency_ : miss_latency_;
-        cycles += latency;
-        if (latency <= threshold_) line_present |= 1u << row.line_slot;
-      }
-      present_word |= static_cast<std::uint64_t>(
-                          (line_present >> row.line_slot) & 1u)
-                      << index;
-    }
-    present_out = present_word;
-    cycles_out = cycles;
-    return state;
-  }
-
-  /// Fallback mode: the scalar DirectProbePlatform::observe() pipeline,
-  /// verbatim, against the job's persistent backing lane — collect the
-  /// (truncated) access stream, replay rounds around the attacker's
-  /// flush point, probe.  The flush lands before the monitored window
-  /// exactly when instrument_from says it does (instrument_from != 0 <=>
-  /// use_flush with a nonzero window start; when the window starts at
-  /// round 0 both orderings are the same access sequence).
+  /// Scalar lane: the DirectProbePlatform::observe() pipeline, verbatim,
+  /// against the job's persistent backing lane — collect the (truncated)
+  /// access stream, replay rounds around the attacker's flush point,
+  /// probe.  The flush lands before the monitored window exactly when
+  /// instrument_from says it does (instrument_from != 0 <=> use_flush
+  /// with a nonzero window start; when the window starts at round 0 both
+  /// orderings are the same access sequence).
   Block run_fallback(const Job& job, std::uint64_t& present_out,
                      std::uint64_t& cycles_out) {
     FallbackLane& lane = fallback_lane(job.lane);
@@ -531,19 +406,9 @@ class WideObserveCore {
   std::uint64_t hit_latency_;
   std::uint64_t miss_latency_;
   unsigned line_shift_;
-  unsigned sets_shift_;
   std::uint64_t set_mask_;
   std::uint64_t threshold_ = 0;
   std::array<FlushReloadProber::RowInfo, LineSet::kMaxBits> rows_{};
-  /// rows_ with the addr -> (set, tag) split precomputed for the fast
-  /// probe loop.
-  struct ProbeRow {
-    std::uint64_t set = 0;
-    std::uint64_t tag = 0;
-    unsigned line_slot = 0;
-    bool reload = false;
-  };
-  std::array<ProbeRow, LineSet::kMaxBits> probe_rows_{};
   /// Presence-bitmap shortcut state (run_presence; engaged iff
   /// presence_ok_).  presence_rows_ holds one entry per distinct
   /// monitored line (its index in the contiguous line range and the
@@ -562,13 +427,10 @@ class WideObserveCore {
   std::vector<std::uint16_t> probe_fills_;
   std::vector<std::uint16_t> set_counts_;
   std::vector<std::uint32_t> monitored_set_list_;
-  std::vector<std::uint64_t> monitored_sets_;
-  /// Fast path state (engaged iff supported(cache_config_)).
-  std::optional<cachesim::LockstepCaches> caches_;
-  /// Fallback mode state: per-backing-lane scalar pipelines, created
-  /// lazily, reset per trial via reset_lane_state().
+  /// Per-backing-lane scalar pipelines, created lazily, reset per trial
+  /// via reset_lane_state().
   std::vector<std::unique_ptr<FallbackLane>> lanes_;
-  /// Shared collect-then-replay scratch of the fallback pipeline.
+  /// Shared collect-then-replay scratch of the scalar lanes.
   gift::VectorTraceSink sink_;
 };
 

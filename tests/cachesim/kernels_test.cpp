@@ -2,25 +2,19 @@
 //
 // The dispatch contract (cachesim/kernels/kernels.h) is that every
 // compiled-in kernel is bit-identical to the `generic` reference for
-// every input the callers can produce.  This suite pins that three ways:
-// direct differential tests of each Ops entry point against generic on
-// random inputs, an algebraic check of the transpose/gather pair against
-// the bit-level definition, and a full differential fuzz of
-// LockstepCaches (the only consumer that caches an Ops table) under each
-// kernel against the generic-kernel pool on randomized supported
-// geometries.  It also pins the registry mechanics ScopedKernel relies
-// on and the uint8_t occupancy-counter guard in the LockstepCaches
-// constructor.
+// every input the callers can produce.  This suite pins the transpose and
+// column-gather kernels against their bit-level definitions and the
+// registry mechanics ScopedKernel relies on; the wide conformance suite
+// (tests/target/wide_conformance_test.cpp) runs the consumers end to end
+// under every kernel.
 #include "cachesim/kernels/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
-#include "cachesim/lockstep.h"
 #include "common/rng.h"
 
 namespace grinch::cachesim::kernels {
@@ -49,61 +43,8 @@ TEST(Kernels, RegistryMechanics) {
   for (const Kind k : available_kinds()) {
     EXPECT_EQ(ops(k).kind, k);
     EXPECT_NE(ops(k).name, nullptr);
-    EXPECT_NE(ops(k).find_tag, nullptr);
-    EXPECT_NE(ops(k).min_stamp_slot, nullptr);
     EXPECT_NE(ops(k).transpose_64x64, nullptr);
     EXPECT_NE(ops(k).gather_column, nullptr);
-  }
-}
-
-TEST(Kernels, FindTagMatchesGeneric) {
-  // Random (tag, stamp) pair arrays at every length the cache can
-  // produce, probing both resident and absent tags.  Live tags are
-  // unique (a set holds each line at most once), mirroring the caller's
-  // precondition.
-  const Ops& generic = ops(Kind::kGeneric);
-  Xoshiro256 rng{0xF1AD};
-  for (unsigned n = 0; n <= 32; ++n) {
-    for (unsigned trial = 0; trial < 64; ++trial) {
-      std::array<std::uint64_t, 64> pairs{};
-      for (unsigned i = 0; i < n; ++i) {
-        pairs[2 * i] = (rng.next() & ~std::uint64_t{31}) | i;  // unique tags
-        pairs[2 * i + 1] = rng.next();
-      }
-      // Probe every resident tag plus a guaranteed-absent one.
-      for (unsigned probe = 0; probe <= n; ++probe) {
-        const std::uint64_t tag =
-            probe < n ? pairs[2 * probe] : (rng.next() | 32);
-        const int want = generic.find_tag(pairs.data(), n, tag);
-        for (const Kind k : available_kinds()) {
-          EXPECT_EQ(ops(k).find_tag(pairs.data(), n, tag), want)
-              << ops(k).name << " n=" << n << " probe=" << probe;
-        }
-      }
-    }
-  }
-}
-
-TEST(Kernels, MinStampSlotMatchesGeneric) {
-  // Unique stamps < 2^32 (the lane clock strictly increases), every ways
-  // count from 1 through 32, the minimum planted at every position.
-  const Ops& generic = ops(Kind::kGeneric);
-  Xoshiro256 rng{0x57A2};
-  for (unsigned ways = 1; ways <= 32; ++ways) {
-    for (unsigned trial = 0; trial < 64; ++trial) {
-      std::array<std::uint64_t, 64> pairs{};
-      for (unsigned i = 0; i < ways; ++i) {
-        pairs[2 * i] = rng.next();
-        // Distinct stamps: a random high part with the slot in the low
-        // bits keeps them unique without sorting.
-        pairs[2 * i + 1] = ((rng.next() & 0x03FF'FFFF) << 6) | i;
-      }
-      const unsigned want = generic.min_stamp_slot(pairs.data(), ways);
-      for (const Kind k : available_kinds()) {
-        EXPECT_EQ(ops(k).min_stamp_slot(pairs.data(), ways), want)
-            << ops(k).name << " ways=" << ways;
-      }
-    }
   }
 }
 
@@ -154,83 +95,6 @@ TEST(Kernels, GatherColumnMatchesBitDefinition) {
       }
     }
   }
-}
-
-TEST(Kernels, LockstepDifferentialFuzzAcrossKernels) {
-  // The consumer-level contract: a LockstepCaches pool constructed under
-  // any kernel produces bit-identical verdicts to the generic-kernel
-  // pool on the same random access/flush/reset stream.  Geometries are
-  // randomized over the supported space, including ways counts past the
-  // inline-scalar cut-over and past the widest SIMD lane group.
-  Xoshiro256 geo_rng{0xD1FF};
-  for (unsigned round = 0; round < 12; ++round) {
-    CacheConfig config = CacheConfig::paper_default();
-    config.line_bytes = 1u << (geo_rng.next() % 4);
-    config.num_sets = 1u << (1 + geo_rng.next() % 6);
-    config.associativity = 1 + static_cast<unsigned>(geo_rng.next() % 24);
-    const std::uint64_t stream_seed = geo_rng.next();
-
-    constexpr unsigned kLanes = 4;
-    ScopedKernel generic_scope{Kind::kGeneric};
-    LockstepCaches reference{config, kLanes};
-    for (unsigned l = 0; l < kLanes; ++l) reference.reset_lane(l);
-
-    for (const Kind k : available_kinds()) {
-      ScopedKernel scope{k};
-      LockstepCaches pool{config, kLanes};
-      ASSERT_EQ(pool.kernel().kind, k);
-      for (unsigned l = 0; l < kLanes; ++l) pool.reset_lane(l);
-
-      // Identical streams for reference and pool: re-seed per kernel.
-      Xoshiro256 ref_rng{stream_seed};
-      Xoshiro256 pool_rng{stream_seed};
-      const std::uint64_t span = static_cast<std::uint64_t>(
-          config.line_bytes) * config.num_sets * (config.associativity + 2);
-      const auto step = [&](LockstepCaches& c, Xoshiro256& rng) {
-        const unsigned lane = static_cast<unsigned>(rng.next() % kLanes);
-        const std::uint64_t addr = rng.next() % span;
-        switch (rng.next() % 8) {
-          case 0:
-            return std::uint64_t{c.flush_line(lane, addr)};
-          case 1:
-            c.reset_lane(lane);
-            return std::uint64_t{2};
-          case 2:
-            return std::uint64_t{c.contains(lane, addr)} | 4;
-          default:
-            return std::uint64_t{c.access(lane, addr)} | 8;
-        }
-      };
-      for (unsigned s = 0; s < 3000; ++s) {
-        ASSERT_EQ(step(pool, pool_rng), step(reference, ref_rng))
-            << pool.kernel().name << " geometry round " << round << " step "
-            << s;
-      }
-      for (unsigned l = 0; l < kLanes; ++l) {
-        for (std::uint64_t a = 0; a < span; a += config.line_bytes) {
-          ASSERT_EQ(pool.contains(l, a), reference.contains(l, a))
-              << pool.kernel().name << " lane " << l << " addr " << a;
-        }
-      }
-      // Advance the reference past this kernel's stream so the next
-      // kernel compares against a fresh prefix?  No — rebuild instead:
-      // reset every reference lane to the cold state the next kernel's
-      // pool starts from.
-      for (unsigned l = 0; l < kLanes; ++l) reference.reset_lane(l);
-    }
-  }
-}
-
-TEST(Kernels, LockstepRejectsWaysBeyondUint8Counters) {
-  // The SoA pool counts per-set occupancy in uint8_t; a geometry with
-  // more than 255 ways must be refused at construction, not silently
-  // wrapped.
-  CacheConfig config = CacheConfig::paper_default();
-  config.num_sets = 2;
-  config.associativity = 256;
-  EXPECT_THROW((LockstepCaches{config, 1}), std::invalid_argument);
-  config.associativity = 255;
-  EXPECT_NO_THROW((LockstepCaches{config, 1}));
 }
 
 }  // namespace

@@ -16,6 +16,10 @@ struct Kat {
   const char* ciphertext;
 };
 
+// Names each case by its key (unique per vector). Without this, gtest prints
+// the struct's pointer bytes, so the test names change from run to run.
+void PrintTo(const Kat& kat, std::ostream* os) { *os << kat.key; }
+
 // Test vectors from the GIFT design document (eprint 2017/622, appendix).
 constexpr Kat kKats[] = {
     {"00000000000000000000000000000000", "0000000000000000",

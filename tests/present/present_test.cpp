@@ -25,6 +25,12 @@ struct Kat80 {
   std::uint64_t ciphertext;
 };
 
+// Names each case by key and plaintext. Without this, gtest prints the
+// struct's pointer bytes, so the test names change from run to run.
+void PrintTo(const Kat80& kat, std::ostream* os) {
+  *os << kat.key << '_' << to_hex_u64(kat.plaintext);
+}
+
 constexpr const char* kZeroKey = "00000000000000000000";
 constexpr const char* kOnesKey = "ffffffffffffffffffff";
 

@@ -157,25 +157,6 @@ TYPED_TEST(BatchConformance, IntermediateBatchSizesAlsoMatchScalar) {
   }
 }
 
-TYPED_TEST(BatchConformance, WideTransportMatchesBatchedEngine) {
-  // Config::wide_width routes the same speculative batches through the
-  // transposed observe_wide transport; the result must stay on the one
-  // scalar-equivalent trajectory that max_batch already pins.
-  using Recovery = TypeParam;
-  const Key128 key = this->victim_key(0xB8);
-  typename KeyRecoveryEngine<Recovery>::Config batched_cfg;
-  batched_cfg.max_batch = 16;
-  typename KeyRecoveryEngine<Recovery>::Config wide_cfg;
-  wide_cfg.wide_width = 16;
-  const RecoveryResult<Recovery> b = recover_key<Recovery>(key, batched_cfg);
-  const RecoveryResult<Recovery> w = recover_key<Recovery>(key, wide_cfg);
-  ASSERT_TRUE(b.success);
-  EXPECT_EQ(w.success, b.success);
-  EXPECT_EQ(w.recovered_key, b.recovered_key);
-  EXPECT_EQ(w.total_encryptions, b.total_encryptions);
-  EXPECT_EQ(w.stage_encryptions, b.stage_encryptions);
-}
-
 TYPED_TEST(BatchConformance, BatchedBudgetExhaustionMatchesScalar) {
   // The encryption budget is checked per observation, so a batched run
   // must fail at exactly the same count as the scalar one.

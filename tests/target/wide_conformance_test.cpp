@@ -1,32 +1,33 @@
 // Registry-wide wide-path conformance suite.
 //
-// The wide observation contract (target/observation.h): observe_wide's
-// transposed batch must extract() bit-identical Observations to scalar
-// observe() calls — through the lockstep fast path where supported
-// (cachesim/lockstep.h) and through the transposing default elsewhere —
-// and the engines layered on it must be width-invariant:
-//  * KeyRecoveryEngine with Config::wide_width in {1, 2, 16, 63, 64}
-//    reproduces the scalar RecoveryResult byte for byte, clean and under
-//    channel faults (the FaultyObservationSource decorator corrupts wide
-//    batches in delivery order and rewinds past speculative tails);
-//  * WideRecoveryEngine runs N independent trials in lockstep and each
-//    lane equals the scalar recover_key() run with that trial's seeds,
-//    for any shard width (runner::make_wide_shards) and any thread count.
+// The wide observation contract (target/wide_observe.h): one
+// WideObserveCore::run over jobs of one victim key must extract()
+// bit-identical Observations to the same plaintexts observed through a
+// DirectProbePlatform::observe() sequence — through the presence-bitmap
+// shortcut where it applies and through the per-lane scalar lanes
+// everywhere else (tripped capacity test, non-contiguous monitored lines,
+// FIFO/PLRU/Random, prefetchers), under every kernel and across a sweep
+// of line sizes, row strides, associativities, flush modes and probing
+// rounds.  The multi-trial engine layered on it must be width-invariant:
+// WideRecoveryEngine runs N independent trials in lockstep and each lane
+// equals the scalar recover_key() run with that trial's seeds, for any
+// shard width (runner::make_wide_shards) and any thread count.
 #include "target/wide_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cachesim/kernels/kernels.h"
 #include "common/rng.h"
 #include "runner/thread_pool.h"
 #include "runner/trial_runner.h"
-#include "target/faulty_source.h"
 #include "target/registry.h"
 
 namespace grinch::target {
@@ -140,119 +141,180 @@ class WideConformance : public ::testing::Test {
     config.faults.seed = spec.fault_seed;
     return recover_key<Recovery>(spec.victim_key, config, platform);
   }
+
+  using Block = typename Recovery::Block;
+  using Core = WideObserveCore<Recovery>;
+  using PlatformConfig = typename DirectProbePlatform<Recovery>::Config;
+
+  /// `width` random plaintexts.
+  static std::vector<Block> random_blocks(Xoshiro256& rng, std::size_t width) {
+    std::vector<Block> pts;
+    pts.reserve(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      pts.push_back(Recovery::random_block(rng));
+    }
+    return pts;
+  }
+
+  /// Runs `pts` as one core.run() on `key` at `stage` — job i on backing
+  /// lane i, or every job on lane 0 when `shared_lane` — and checks each
+  /// lane against `scalar.observe()` over the same plaintexts in order,
+  /// plus states_out against the truncated encryption.
+  static void expect_run_matches_scalar(Core& core,
+                                        DirectProbePlatform<Recovery>& scalar,
+                                        const PlatformConfig& pconfig,
+                                        const Key128& key, unsigned stage,
+                                        const std::vector<Block>& pts,
+                                        const std::string& label,
+                                        bool shared_lane = false) {
+    const typename Recovery::TableCipher cipher{pconfig.layout};
+    const auto schedule = cipher.make_schedule(key);
+    const ProbeWindow window =
+        probe_window_for<Recovery>(stage, pconfig.probing_round);
+    std::vector<typename Core::Job> jobs;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      jobs.push_back({&schedule, pts[i], window,
+                      pconfig.use_flush ? window.monitored_from : 0u,
+                      shared_lane ? 0u : static_cast<unsigned>(i)});
+    }
+    WideObservationBatch batch;
+    std::vector<Block> states(pts.size());
+    core.run(jobs, batch, states.data());
+    ASSERT_EQ(batch.width(), pts.size()) << label;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const Observation o = scalar.observe(pts[i], stage);
+      const Observation w = batch.extract(static_cast<unsigned>(i));
+      ASSERT_EQ(w.present, o.present) << label << " lane " << i;
+      EXPECT_EQ(w.probed_after_round, o.probed_after_round)
+          << label << " lane " << i;
+      EXPECT_EQ(w.attacker_cycles, o.attacker_cycles)
+          << label << " lane " << i;
+      EXPECT_EQ(w.dropped, o.dropped) << label << " lane " << i;
+      EXPECT_TRUE(states[i] == cipher.encrypt_with_schedule(
+                                   pts[i], schedule, window.emit_rounds,
+                                   nullptr))
+          << label << " lane " << i;
+    }
+  }
 };
 TYPED_TEST_SUITE(WideConformance, AllTargets);
 
 TYPED_TEST(WideConformance, ObserveWideBitIdenticalToScalar) {
+  // One core and one scalar platform per configuration, both persisting
+  // across stages 0-2, so later runs meet warm backing lanes.  The paper
+  // default is swept over widths; the config sweep covers coarse lines
+  // (line_bytes > 1), deeper probes (probing round > 1), shallow caches
+  // where the shortcut's capacity test trips, and a two-byte row stride
+  // whose monitored lines are not contiguous at one-byte lines (the
+  // shortcut never engages there).
   using Recovery = TypeParam;
   using Block = typename Recovery::Block;
+  using Core = WideObserveCore<Recovery>;
   const Key128 key = this->victim_key(0x3D);
-  DirectProbePlatform<Recovery> scalar{{}, key};
-  DirectProbePlatform<Recovery> wide{{}, key};
-  Xoshiro256 rng{0x31DE};
-  WideObservationBatch batch;
-  for (unsigned stage = 0; stage < 3 && stage < Recovery::kStages; ++stage) {
-    for (const std::size_t width : {std::size_t{1}, std::size_t{24},
-                                    std::size_t{63}, std::size_t{64}}) {
-      std::vector<Block> pts;
-      for (std::size_t i = 0; i < width; ++i) {
-        pts.push_back(Recovery::random_block(rng));
+  const unsigned stages = std::min(3u, Recovery::kStages);
+  {
+    const typename DirectProbePlatform<Recovery>::Config pconfig;
+    DirectProbePlatform<Recovery> scalar{pconfig, key};
+    Core core{pconfig.cache, pconfig.layout};
+    Xoshiro256 rng{0x31DE};
+    for (unsigned stage = 0; stage < stages; ++stage) {
+      for (const std::size_t width : {std::size_t{1}, std::size_t{24},
+                                      std::size_t{63}, std::size_t{64}}) {
+        const std::vector<Block> pts = this->random_blocks(rng, width);
+        this->expect_run_matches_scalar(
+            core, scalar, pconfig, key, stage, pts,
+            "default stage " + std::to_string(stage) + " width " +
+                std::to_string(width));
       }
-      wide.observe_wide(pts, stage, batch);
-      ASSERT_EQ(batch.width(), pts.size());
-      for (std::size_t i = 0; i < pts.size(); ++i) {
-        const Observation o = scalar.observe(pts[i], stage);
-        const Observation w = batch.extract(static_cast<unsigned>(i));
-        ASSERT_EQ(w.present, o.present)
-            << "stage " << stage << " width " << width << " lane " << i;
-        EXPECT_EQ(w.probed_after_round, o.probed_after_round);
-        EXPECT_EQ(w.attacker_cycles, o.attacker_cycles);
-        EXPECT_EQ(w.dropped, o.dropped);
+    }
+  }
+  Xoshiro256 rng{0x5EE9};
+  for (const unsigned line_bytes : {1u, 2u, 4u, 8u}) {
+    for (const unsigned row_bytes : {1u, 2u}) {
+      for (const unsigned ways : {2u, 4u, 16u}) {
+        for (const bool flush : {true, false}) {
+          for (const unsigned probing_round : {1u, 2u, 5u}) {
+            typename DirectProbePlatform<Recovery>::Config pconfig;
+            pconfig.cache.line_bytes = line_bytes;
+            pconfig.cache.associativity = ways;
+            pconfig.layout.sbox_row_bytes = row_bytes;
+            pconfig.use_flush = flush;
+            pconfig.probing_round = probing_round;
+            ASSERT_TRUE(Core::supported(pconfig.cache));
+            DirectProbePlatform<Recovery> scalar{pconfig, key};
+            Core core{pconfig.cache, pconfig.layout};
+            for (unsigned stage = 0; stage < stages; ++stage) {
+              const std::vector<Block> pts = this->random_blocks(rng, 64);
+              this->expect_run_matches_scalar(
+                  core, scalar, pconfig, key, stage, pts,
+                  "line " + std::to_string(line_bytes) + " row " +
+                      std::to_string(row_bytes) + " ways " +
+                      std::to_string(ways) + " flush " +
+                      std::to_string(flush) + " round " +
+                      std::to_string(probing_round) + " stage " +
+                      std::to_string(stage));
+            }
+          }
+        }
       }
-      EXPECT_EQ(wide.last_ciphertext(), scalar.last_ciphertext())
-          << "stage " << stage << " width " << width;
     }
   }
 }
 
 TYPED_TEST(WideConformance, ObserveWideWithoutFlushMatchesScalar) {
   // use_flush = false moves the attacker's flush before round 0, so the
-  // lockstep lanes must instrument every emitted round.
+  // shortcut must count every emitted round.
   using Recovery = TypeParam;
-  using Block = typename Recovery::Block;
   const Key128 key = this->victim_key(0x3E);
-  typename DirectProbePlatform<Recovery>::Config config;
-  config.use_flush = false;
-  DirectProbePlatform<Recovery> scalar{config, key};
-  DirectProbePlatform<Recovery> wide{config, key};
+  typename DirectProbePlatform<Recovery>::Config pconfig;
+  pconfig.use_flush = false;
+  DirectProbePlatform<Recovery> scalar{pconfig, key};
+  WideObserveCore<Recovery> core{pconfig.cache, pconfig.layout};
   Xoshiro256 rng{0x0F1};
-  std::vector<Block> pts;
-  for (unsigned i = 0; i < 16; ++i) pts.push_back(Recovery::random_block(rng));
-  WideObservationBatch batch;
-  wide.observe_wide(pts, 0, batch);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const Observation o = scalar.observe(pts[i], 0);
-    const Observation w = batch.extract(static_cast<unsigned>(i));
-    EXPECT_EQ(w.present, o.present) << i;
-    EXPECT_EQ(w.attacker_cycles, o.attacker_cycles) << i;
-  }
+  this->expect_run_matches_scalar(core, scalar, pconfig, key, 0,
+                                  this->random_blocks(rng, 16), "no flush");
 }
 
 TYPED_TEST(WideConformance, ObserveWideShallowCacheMatchesScalar) {
-  // A 2-way LRU cache keeps the lockstep fast path engaged but makes the
-  // presence shortcut's capacity test trip (one probe fill plus a couple
-  // of window accesses exceed two ways), so observations route through
-  // the exact lockstep lane — this pins the shortcut's overflow fallback
-  // against the scalar pipeline.
+  // A 2-way LRU cache makes the presence shortcut's capacity test trip
+  // (one probe fill plus a couple of window accesses exceed two ways), so
+  // observations route through their scalar lanes — warm from the
+  // previous stage's trips — and must still match the scalar platform,
+  // whose cache carries a different history.
   using Recovery = TypeParam;
-  using Block = typename Recovery::Block;
   const Key128 key = this->victim_key(0x40);
-  typename DirectProbePlatform<Recovery>::Config config;
-  config.cache.associativity = 2;
-  ASSERT_TRUE(WideObserveCore<Recovery>::supported(config.cache));
-  DirectProbePlatform<Recovery> scalar{config, key};
-  DirectProbePlatform<Recovery> wide{config, key};
+  typename DirectProbePlatform<Recovery>::Config pconfig;
+  pconfig.cache.associativity = 2;
+  ASSERT_TRUE(WideObserveCore<Recovery>::supported(pconfig.cache));
+  DirectProbePlatform<Recovery> scalar{pconfig, key};
+  WideObserveCore<Recovery> core{pconfig.cache, pconfig.layout};
   Xoshiro256 rng{0x5A110};
-  WideObservationBatch batch;
   for (unsigned stage = 0; stage < 2 && stage < Recovery::kStages; ++stage) {
-    std::vector<Block> pts;
-    for (unsigned i = 0; i < 32; ++i) {
-      pts.push_back(Recovery::random_block(rng));
-    }
-    wide.observe_wide(pts, stage, batch);
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      const Observation o = scalar.observe(pts[i], stage);
-      const Observation w = batch.extract(static_cast<unsigned>(i));
-      EXPECT_EQ(w.present, o.present) << "stage " << stage << " lane " << i;
-      EXPECT_EQ(w.attacker_cycles, o.attacker_cycles)
-          << "stage " << stage << " lane " << i;
-    }
+    this->expect_run_matches_scalar(core, scalar, pconfig, key, stage,
+                                    this->random_blocks(rng, 32),
+                                    "2-way stage " + std::to_string(stage));
   }
 }
 
 TYPED_TEST(WideConformance, ObserveWideFallsBackOnUnsupportedConfig) {
-  // FIFO replacement has no lockstep fast path; observe_wide must route
-  // through the transposing default and still match scalar observes.
+  // FIFO replacement disables the shortcut, so every job runs on its
+  // scalar lane.  With every job on one backing lane, that lane must
+  // replay the scalar platform's observe() sequence exactly — including
+  // the FIFO state each observation leaves for the next.
   using Recovery = TypeParam;
-  using Block = typename Recovery::Block;
   const Key128 key = this->victim_key(0x3F);
-  typename DirectProbePlatform<Recovery>::Config config;
-  config.cache.replacement = cachesim::Replacement::kFifo;
-  ASSERT_FALSE(WideObserveCore<Recovery>::supported(config.cache));
-  DirectProbePlatform<Recovery> scalar{config, key};
-  DirectProbePlatform<Recovery> wide{config, key};
+  typename DirectProbePlatform<Recovery>::Config pconfig;
+  pconfig.cache.replacement = cachesim::Replacement::kFifo;
+  ASSERT_FALSE(WideObserveCore<Recovery>::supported(pconfig.cache));
+  DirectProbePlatform<Recovery> scalar{pconfig, key};
+  WideObserveCore<Recovery> core{pconfig.cache, pconfig.layout};
   Xoshiro256 rng{0xFB2};
-  std::vector<Block> pts;
-  for (unsigned i = 0; i < 9; ++i) pts.push_back(Recovery::random_block(rng));
-  WideObservationBatch batch;
-  wide.observe_wide(pts, 0, batch);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const Observation o = scalar.observe(pts[i], 0);
-    const Observation w = batch.extract(static_cast<unsigned>(i));
-    EXPECT_EQ(w.present, o.present) << i;
-    EXPECT_EQ(w.attacker_cycles, o.attacker_cycles) << i;
+  for (unsigned stage = 0; stage < 2 && stage < Recovery::kStages; ++stage) {
+    this->expect_run_matches_scalar(core, scalar, pconfig, key, stage,
+                                    this->random_blocks(rng, 9),
+                                    "fifo stage " + std::to_string(stage),
+                                    /*shared_lane=*/true);
   }
-  EXPECT_EQ(wide.last_ciphertext(), scalar.last_ciphertext());
 }
 
 std::vector<cachesim::kernels::Kind> available_kernels() {
@@ -266,77 +328,30 @@ std::vector<cachesim::kernels::Kind> available_kernels() {
 
 TYPED_TEST(WideConformance, ObserveWideBitIdenticalUnderEveryKernel) {
   // The dispatch contract end to end: every compiled-in-and-executable
-  // probe kernel must reproduce the scalar pipeline bit for bit through
-  // the full wide transport (lockstep probe, bulk transpose, column
-  // gather on extract).  The wide platform is constructed inside the
-  // kernel scope — its lockstep pool resolves the Ops table then.
+  // kernel must reproduce the scalar pipeline bit for bit through the
+  // bulk transpose and the column gather on extract().
   using Recovery = TypeParam;
-  using Block = typename Recovery::Block;
   const Key128 key = this->victim_key(0x60);
-  DirectProbePlatform<Recovery> scalar{{}, key};
+  const typename DirectProbePlatform<Recovery>::Config pconfig;
+  DirectProbePlatform<Recovery> scalar{pconfig, key};
   for (const cachesim::kernels::Kind kind : available_kernels()) {
     cachesim::kernels::ScopedKernel scope{kind};
-    DirectProbePlatform<Recovery> wide{{}, key};
+    WideObserveCore<Recovery> core{pconfig.cache, pconfig.layout};
     Xoshiro256 rng{0x5EE6};  // identical plaintexts for every kernel
-    WideObservationBatch batch;
     for (const std::size_t width : {std::size_t{1}, std::size_t{2},
                                     std::size_t{16}, std::size_t{63},
                                     std::size_t{64}}) {
-      std::vector<Block> pts;
-      for (std::size_t i = 0; i < width; ++i) {
-        pts.push_back(Recovery::random_block(rng));
-      }
-      wide.observe_wide(pts, 0, batch);
-      ASSERT_EQ(batch.width(), pts.size());
-      for (std::size_t i = 0; i < pts.size(); ++i) {
-        const Observation o = scalar.observe(pts[i], 0);
-        const Observation w = batch.extract(static_cast<unsigned>(i));
-        ASSERT_EQ(w.present, o.present)
-            << cachesim::kernels::active().name << " width " << width
-            << " lane " << i;
-        EXPECT_EQ(w.probed_after_round, o.probed_after_round);
-        EXPECT_EQ(w.attacker_cycles, o.attacker_cycles);
-      }
+      this->expect_run_matches_scalar(
+          core, scalar, pconfig, key, 0, this->random_blocks(rng, width),
+          std::string{cachesim::kernels::active().name} + " width " +
+              std::to_string(width));
     }
-  }
-}
-
-TYPED_TEST(WideConformance, FaultyDecoratorWideMatchesScalarUnderEveryKernel) {
-  // Same sweep through the fault decorator: corrupted deliveries must
-  // stay kernel-invariant (the decorator consumes the transposed batch
-  // through extract()/set_lane, both kernel-dispatched).
-  using Recovery = TypeParam;
-  using Block = typename Recovery::Block;
-  const Key128 key = this->victim_key(0x61);
-  const FaultProfile profile = FaultProfile::moderate();
-  for (const cachesim::kernels::Kind kind : available_kernels()) {
-    cachesim::kernels::ScopedKernel scope{kind};
-    DirectProbePlatform<Recovery> scalar_inner{{}, key};
-    DirectProbePlatform<Recovery> wide_inner{{}, key};
-    FaultyObservationSource<Block> scalar{scalar_inner, profile};
-    FaultyObservationSource<Block> wide{wide_inner, profile};
-    Xoshiro256 rng{0xFA18};
-    std::vector<Block> pts;
-    for (unsigned i = 0; i < 64; ++i) {
-      pts.push_back(Recovery::random_block(rng));
-    }
-    WideObservationBatch batch;
-    wide.observe_wide(pts, 0, batch);
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      const Observation o = scalar.observe(pts[i], 0);
-      const Observation w = batch.extract(static_cast<unsigned>(i));
-      EXPECT_EQ(w.present, o.present)
-          << cachesim::kernels::active().name << " lane " << i;
-      EXPECT_EQ(w.dropped, o.dropped)
-          << cachesim::kernels::active().name << " lane " << i;
-    }
-    EXPECT_EQ(wide.stats().dropped, scalar.stats().dropped);
   }
 }
 
 TYPED_TEST(WideConformance, PerLaneFallbackMatchesScalarObserveSequences) {
-  // The per-lane fallback mode (target/wide_observe.h): on configurations
-  // without a lockstep fast path, every backing lane must replay the
+  // The per-lane scalar lanes (target/wide_observe.h): on configurations
+  // without the presence shortcut, every backing lane must replay the
   // scalar observe() pipeline against its own persistent cache — across
   // successive run() calls, after reset_lane_state(), and independently
   // of which batch position carries the lane.  Covered on FIFO
@@ -355,7 +370,6 @@ TYPED_TEST(WideConformance, PerLaneFallbackMatchesScalarObserveSequences) {
     }
     ASSERT_FALSE(Core::supported(pconfig.cache));
     Core core{pconfig.cache, pconfig.layout};
-    ASSERT_FALSE(core.fast_path());
 
     typename Recovery::TableCipher cipher{pconfig.layout};
     Xoshiro256 rng{prefetch ? 0x9E7Cu : 0xF1F0u};
@@ -409,110 +423,44 @@ TYPED_TEST(WideConformance, PerLaneFallbackMatchesScalarObserveSequences) {
   }
 }
 
-TYPED_TEST(WideConformance, FaultyDecoratorWideMatchesScalarDelivery) {
-  // The decorator must corrupt wide lanes in delivery order with the
-  // exact draw schedule of scalar delivery.
-  using Recovery = TypeParam;
-  using Block = typename Recovery::Block;
-  const Key128 key = this->victim_key(0x40);
-  const FaultProfile profile = FaultProfile::moderate();
-  DirectProbePlatform<Recovery> scalar_inner{{}, key};
-  DirectProbePlatform<Recovery> wide_inner{{}, key};
-  FaultyObservationSource<Block> scalar{scalar_inner, profile};
-  FaultyObservationSource<Block> wide{wide_inner, profile};
-  Xoshiro256 rng{0xFA17};
-  std::vector<Block> pts;
-  for (unsigned i = 0; i < 48; ++i) pts.push_back(Recovery::random_block(rng));
-  WideObservationBatch batch;
-  wide.observe_wide(pts, 0, batch);
-  ASSERT_EQ(batch.width(), pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const Observation o = scalar.observe(pts[i], 0);
-    const Observation w = batch.extract(static_cast<unsigned>(i));
-    EXPECT_EQ(w.present, o.present) << "lane " << i;
-    EXPECT_EQ(w.dropped, o.dropped) << "lane " << i;
-  }
-  EXPECT_EQ(wide.stats().dropped, scalar.stats().dropped);
-  EXPECT_EQ(wide.stats().stale, scalar.stats().stale);
-  EXPECT_EQ(wide.stats().bursts, scalar.stats().bursts);
-  EXPECT_EQ(wide.stats().lines_flipped_absent,
-            scalar.stats().lines_flipped_absent);
-  EXPECT_EQ(wide.stats().lines_flipped_present,
-            scalar.stats().lines_flipped_present);
-}
-
-TYPED_TEST(WideConformance, WideWidthEngineMatchesScalarEngine) {
-  using Recovery = TypeParam;
-  const Key128 key = this->victim_key(0x41);
-  typename KeyRecoveryEngine<Recovery>::Config scalar_cfg;
-  scalar_cfg.max_batch = 1;
-  const RecoveryResult<Recovery> s = recover_key<Recovery>(key, scalar_cfg);
-  ASSERT_TRUE(s.success);
-  for (const unsigned width : {1u, 2u, 16u, 63u, 64u}) {
-    typename KeyRecoveryEngine<Recovery>::Config cfg;
-    cfg.wide_width = width;
-    const RecoveryResult<Recovery> w = recover_key<Recovery>(key, cfg);
-    expect_equal_results(w, s, "wide_width " + std::to_string(width));
-  }
-}
-
-TYPED_TEST(WideConformance, WideWidthEngineMatchesScalarUnderFaults) {
-  using Recovery = TypeParam;
-  const Key128 key = this->victim_key(0x42);
-  typename KeyRecoveryEngine<Recovery>::Config scalar_cfg =
-      KeyRecoveryEngine<Recovery>::Config::noisy_defaults();
-  scalar_cfg.max_encryptions = 800000;
-  scalar_cfg.faults = FaultProfile::moderate();
-  scalar_cfg.max_batch = 1;
-  const RecoveryResult<Recovery> s = recover_key<Recovery>(key, scalar_cfg);
-  ASSERT_TRUE(s.success);
-  for (const unsigned width : {2u, 64u}) {
-    typename KeyRecoveryEngine<Recovery>::Config cfg = scalar_cfg;
-    cfg.wide_width = width;
-    const RecoveryResult<Recovery> w = recover_key<Recovery>(key, cfg);
-    expect_equal_results(w, s, "faulty wide_width " + std::to_string(width));
-  }
-}
-
-TYPED_TEST(WideConformance, WideWidthClampsOutOfRangeValues) {
-  using Recovery = TypeParam;
-  const Key128 key = this->victim_key(0x43);
-  typename KeyRecoveryEngine<Recovery>::Config scalar_cfg;
-  scalar_cfg.max_batch = 1;
-  const RecoveryResult<Recovery> s = recover_key<Recovery>(key, scalar_cfg);
-  typename KeyRecoveryEngine<Recovery>::Config cfg;
-  cfg.wide_width = 200;  // clamped to 64
-  const RecoveryResult<Recovery> w = recover_key<Recovery>(key, cfg);
-  expect_equal_results(w, s, "wide_width 200");
-}
-
 TYPED_TEST(WideConformance, WideEngineLanesMatchScalarTrials) {
   // Each WideRecoveryEngine lane must equal the scalar recover_key run
-  // with that trial's seeds, at every shard width.
+  // with that trial's seeds, at every shard width.  The 2-way LRU cache
+  // trips the presence shortcut on most observations, so those trials
+  // run on their scalar lanes: a lane's cache persists across its
+  // trial's trips and is reset when the slot's next trial starts (width
+  // 1 reuses slot 0 for every trial).
   using Recovery = TypeParam;
   constexpr std::size_t kTrials = 9;
   const auto specs = this->trial_specs(kTrials, 0x50);
   typename KeyRecoveryEngine<Recovery>::Config config;
-  std::vector<RecoveryResult<Recovery>> refs;
-  refs.reserve(kTrials);
-  for (const WideTrialSpec& spec : specs) {
-    refs.push_back(this->scalar_reference(spec, config));
-  }
-  for (const unsigned width : {1u, 4u, 64u}) {
-    WideRecoveryEngine<Recovery> engine{config};
-    std::vector<RecoveryResult<Recovery>> results;
-    for (const runner::WideShard& shard :
-         runner::make_wide_shards(kTrials, width)) {
-      auto part = engine.run(
-          std::span<const WideTrialSpec>(specs).subspan(shard.begin,
-                                                        shard.width));
-      for (auto& r : part) results.push_back(std::move(r));
+  typename DirectProbePlatform<Recovery>::Config shallow;
+  shallow.cache.associativity = 2;
+  for (const auto& [name, platform] :
+       {std::pair{"default", typename DirectProbePlatform<Recovery>::Config{}},
+        std::pair{"2-way", shallow}}) {
+    std::vector<RecoveryResult<Recovery>> refs;
+    refs.reserve(kTrials);
+    for (const WideTrialSpec& spec : specs) {
+      refs.push_back(this->scalar_reference(spec, config, platform));
     }
-    ASSERT_EQ(results.size(), refs.size());
-    for (std::size_t t = 0; t < refs.size(); ++t) {
-      expect_equal_results(results[t], refs[t],
-                           "width " + std::to_string(width) + " trial " +
-                               std::to_string(t));
+    for (const unsigned width : {1u, 4u, 64u}) {
+      WideRecoveryEngine<Recovery> engine{config, platform};
+      std::vector<RecoveryResult<Recovery>> results;
+      for (const runner::WideShard& shard :
+           runner::make_wide_shards(kTrials, width)) {
+        auto part = engine.run(
+            std::span<const WideTrialSpec>(specs).subspan(shard.begin,
+                                                          shard.width));
+        for (auto& r : part) results.push_back(std::move(r));
+      }
+      ASSERT_EQ(results.size(), refs.size());
+      for (std::size_t t = 0; t < refs.size(); ++t) {
+        expect_equal_results(results[t], refs[t],
+                             std::string{name} + " width " +
+                                 std::to_string(width) + " trial " +
+                                 std::to_string(t));
+      }
     }
   }
 }

@@ -209,20 +209,20 @@ def summarize_leakage(name, fresh):
 def summarize_wide_path(name, fresh):
     """Extra checks for BENCH_micro_throughput.json (the wide path).
 
-    Asserts that the transposed lockstep transport pays for itself on the
-    machine that produced the document (so a committed baseline compared
-    against itself must pass too):
+    Asserts that the wide observation path pays for itself on the machine
+    that produced the document (so a committed baseline compared against
+    itself must pass too):
 
-      * BM_ObserveBatch/64 routes through observe_wide; its
+      * BM_ObserveBatch/64 runs one WideObserveCore::run of 64 jobs; its
         per-observation cpu_time must not exceed the scalar
         observe_batch path's (BM_ObserveBatch/16);
-      * when the document was produced with the avx2 probe kernel (the
-        context records which), BM_ObserveBatch/64 must stay at or below
-        the SIMD budget of 450 ns per observation;
-      * the per-kernel micro-benches (BM_ProbeKernel/<kernel>,
-        BM_Transpose64/<kernel>): a vectorized kernel (swar/avx2) more
-        than 1.5x slower than generic means the dispatch is actively
-        hurting — a correctness signal for the kernel layer, not noise;
+      * when the document was produced with the avx2 kernel (the context
+        records which), BM_ObserveBatch/64 must stay at or below the
+        SIMD budget of 450 ns per observation;
+      * the per-kernel micro-bench (BM_Transpose64/<kernel>): a
+        vectorized kernel (swar/avx2) more than 1.5x slower than generic
+        means the dispatch is actively hurting — a correctness signal
+        for the kernel layer, not noise;
       * BM_WideRecovery at width 64 must keep >= 0.75x linear scaling:
         per-trial time within 1/0.75 of the width-1 lane loop.
     """
@@ -244,12 +244,12 @@ def summarize_wide_path(name, fresh):
         per_wide, per_scalar = wide / 64, scalar / 16
         marker = "ok" if per_wide <= per_scalar else "REGRESSION"
         print(
-            f"  wide observe: {per_wide:.1f} ns/obs (observe_wide) vs "
+            f"  wide observe: {per_wide:.1f} ns/obs (wide core) vs "
             f"{per_scalar:.1f} ns/obs (scalar) {marker}"
         )
         if per_wide > per_scalar:
             warnings.append(
-                f"{name}: observe_wide per-observation time ({per_wide:.1f} "
+                f"{name}: wide per-observation time ({per_wide:.1f} "
                 f"ns) exceeds the scalar path ({per_scalar:.1f} ns)"
             )
         if kernel == "avx2":
@@ -261,12 +261,12 @@ def summarize_wide_path(name, fresh):
             )
             if per_wide > budget:
                 warnings.append(
-                    f"{name}: observe_wide with the avx2 kernel "
+                    f"{name}: wide observe with the avx2 kernel "
                     f"({per_wide:.1f} ns/obs) exceeds the {budget:.0f} ns "
                     f"budget"
                 )
 
-    for family in ("BM_ProbeKernel", "BM_Transpose64"):
+    for family in ("BM_Transpose64",):
         generic = times.get(f"{family}/generic")
         if generic is None:
             warnings.append(f"{name}: missing {family}/generic (kernel gate)")

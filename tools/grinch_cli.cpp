@@ -9,9 +9,6 @@
 //   grinch attack128 [--key <hex32>] [--budget N] [--seed N]
 //
 // The unified-engine commands (attack128, attack-present) also accept
-//   --wide N       route observations through the 64-wide lockstep
-//                  transport (target/wide_observe.h); N is clamped to
-//                  [1, 64], 1 = scalar path (the default)
 //   --finish       escalate a budget-exhausted partial into the residual
 //                  maximum-likelihood key search (src/finisher/)
 //   --finish-budget N   cap the finisher at N candidate keys (default 2^17)
@@ -224,15 +221,6 @@ void apply_fault_args(const Args& args, Config& cfg) {
   cfg.vote_threshold = static_cast<unsigned>(args.get_u64("vote", fallback));
 }
 
-/// --wide N routes the engine's observation batches through the
-/// transposed lockstep transport (Config::wide_width; the engine clamps
-/// to [1, 64]; cache configurations without a lockstep fast path run the
-/// same wide loop through per-lane scalar fallback lanes).
-template <typename Config>
-void apply_wide_args(const Args& args, Config& cfg) {
-  cfg.wide_width = static_cast<unsigned>(args.get_u64("wide", cfg.wide_width));
-}
-
 /// --finish arms the residual finisher (finish mode reserves evidence and
 /// known pairs, then a budget-exhausted run escalates into the ML search);
 /// --finish-budget caps its candidate enumeration.  `--finish PATH`-style
@@ -247,20 +235,17 @@ void apply_finish_args(const Args& args, Config& cfg) {
       args.get_u64("finish-budget", cfg.finish_max_candidates);
 }
 
-template <typename Config>
-void print_engine_header(const Config& cfg) {
-  std::printf("engine:        %s (wide width %u, kernel %s)\n",
-              cfg.wide_width > 1 ? "wide lockstep" : "scalar",
-              cfg.wide_width, cachesim::kernels::active().name);
+void print_engine_header() {
+  std::printf("engine:        scalar (kernel %s)\n",
+              cachesim::kernels::active().name);
 }
 
 /// Writes the machine-readable run report for --json PATH.  Every record
-/// is self-describing: it names the fault profile and wide width that
-/// produced it, so a report sliced out of a batch still says what ran.
+/// is self-describing: it names the fault profile that produced it, so a
+/// report sliced out of a batch still says what ran.
 template <typename Recovery>
 void write_json_report(const std::string& path, const char* command,
                        const Key128& victim, const std::string& fault_profile,
-                       unsigned wide_width,
                        const target::RecoveryResult<Recovery>& r) {
   if (path.empty()) return;
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -272,7 +257,6 @@ void write_json_report(const std::string& path, const char* command,
   std::fprintf(f, "  \"command\": \"%s\",\n", command);
   std::fprintf(f, "  \"victim_key\": \"%s\",\n", victim.to_hex().c_str());
   std::fprintf(f, "  \"fault_profile\": \"%s\",\n", fault_profile.c_str());
-  std::fprintf(f, "  \"wide_width\": %u,\n", wide_width);
   std::fprintf(f, "  \"kernel\": \"%s\",\n",
                cachesim::kernels::active().name);
   std::fprintf(f, "  \"success\": %s,\n", r.success ? "true" : "false");
@@ -355,11 +339,10 @@ int cmd_attack128(const Args& args) {
   cfg.max_encryptions = args.get_u64("budget", 100000);
   cfg.seed = args.get_u64("seed", 0xC128) ^ 0x128;
   apply_fault_args(args, cfg);
-  apply_wide_args(args, cfg);
   apply_finish_args(args, cfg);
   const auto r = target::recover_key<target::Gift128Recovery>(key, cfg);
   std::printf("victim key:    %s\n", key.to_hex().c_str());
-  print_engine_header(cfg);
+  print_engine_header();
   std::printf("encryptions:   %llu (stages %llu + %llu)\n",
               static_cast<unsigned long long>(r.total_encryptions),
               static_cast<unsigned long long>(r.stage_encryptions[0]),
@@ -373,7 +356,7 @@ int cmd_attack128(const Args& args) {
     std::printf("result:        FAILED\n");
   }
   write_json_report(args.get("json", ""), "attack128", key,
-                    args.get("fault-profile", "clean"), cfg.wide_width, r);
+                    args.get("fault-profile", "clean"), r);
   return r.success && r.recovered_key == key ? 0 : 1;
 }
 
@@ -385,11 +368,10 @@ int cmd_attack_present(const Args& args) {
   cfg.max_encryptions = args.get_u64("budget", 100000);
   cfg.seed = args.get_u64("seed", 0xC80) ^ 0x80;
   apply_fault_args(args, cfg);
-  apply_wide_args(args, cfg);
   apply_finish_args(args, cfg);
   const auto r = target::recover_key<target::Present80Recovery>(key, cfg);
   std::printf("victim key (80-bit): %s\n", key.to_hex().c_str());
-  print_engine_header(cfg);
+  print_engine_header();
   std::printf("monitored encryptions: %llu; offline search: 2^16\n",
               static_cast<unsigned long long>(r.total_encryptions));
   print_noise_report(r);
@@ -401,7 +383,7 @@ int cmd_attack_present(const Args& args) {
     std::printf("result: FAILED\n");
   }
   write_json_report(args.get("json", ""), "attack-present", key,
-                    args.get("fault-profile", "clean"), cfg.wide_width, r);
+                    args.get("fault-profile", "clean"), r);
   return r.success && r.recovered_key == key ? 0 : 1;
 }
 
