@@ -69,6 +69,17 @@ constexpr std::uint64_t with_nibble(std::uint64_t state, unsigned i,
   return cleared | (static_cast<std::uint64_t>(value & 0xFu) << sh);
 }
 
+/// Moves bit i of a 16-bit value to bit 4i (i = 0..15): the mask-and-shift
+/// spread that places one round-key bit in every 4-bit segment.
+constexpr std::uint64_t spread_to_nibbles(std::uint16_t v) noexcept {
+  std::uint64_t x = v;
+  x = (x | (x << 24)) & 0x000000FF000000FFull;
+  x = (x | (x << 12)) & 0x000F000F000F000Full;
+  x = (x | (x << 6)) & 0x0303030303030303ull;
+  x = (x | (x << 3)) & 0x1111111111111111ull;
+  return x;
+}
+
 /// Number of set bits.
 template <typename T>
 constexpr unsigned popcount(T v) noexcept {

@@ -1,5 +1,6 @@
 #include "gift/gift128.h"
 
+#include "common/bits.h"
 #include "gift/constants.h"
 #include "gift/permutation.h"
 #include "gift/sbox.h"
@@ -33,10 +34,11 @@ State128 add_constant(State128 s, std::uint8_t c) {
 }  // namespace
 
 State128 Gift128::add_round_key(State128 state, const RoundKey128& rk) {
-  for (unsigned i = 0; i < kSegments; ++i) {
-    state.xor_bit(4 * i + 1, (rk.v >> i) & 1u);
-    state.xor_bit(4 * i + 2, (rk.u >> i) & 1u);
-  }
+  const auto half = [](std::uint32_t word, unsigned shift) {
+    return spread_to_nibbles(static_cast<std::uint16_t>(word >> shift));
+  };
+  state.lo ^= (half(rk.v, 0) << 1) ^ (half(rk.u, 0) << 2);
+  state.hi ^= (half(rk.v, 16) << 1) ^ (half(rk.u, 16) << 2);
   return state;
 }
 

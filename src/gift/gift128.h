@@ -3,6 +3,9 @@
 // Same construction as GIFT-64 with a 128-bit state: round keys use
 // (k5||k4, k1||k0) and land on state bits 4i+2 / 4i+1.  Verified against
 // the published test vectors in tests/gift/gift128_test.cpp.
+//
+// Attacker-side reference arithmetic, table-driven and not constant-time:
+// only BitslicedGift64 is; the table victims are the leak under study.
 #pragma once
 
 #include <cstdint>

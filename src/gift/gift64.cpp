@@ -1,5 +1,6 @@
 #include "gift/gift64.h"
 
+#include "common/bits.h"
 #include "gift/constants.h"
 #include "gift/permutation.h"
 #include "gift/sbox.h"
@@ -7,11 +8,7 @@
 namespace grinch::gift {
 
 std::uint64_t Gift64::add_round_key(std::uint64_t state, const RoundKey64& rk) {
-  for (unsigned i = 0; i < kSegments; ++i) {
-    state ^= static_cast<std::uint64_t>((rk.v >> i) & 1u) << (4 * i);
-    state ^= static_cast<std::uint64_t>((rk.u >> i) & 1u) << (4 * i + 1);
-  }
-  return state;
+  return state ^ spread_to_nibbles(rk.v) ^ (spread_to_nibbles(rk.u) << 1);
 }
 
 std::uint64_t Gift64::round_function(std::uint64_t state, const RoundKey64& rk,

@@ -9,6 +9,9 @@
 // The class also exposes per-round intermediate states and the bare round
 // function: the GRINCH attack predicts round-R S-Box indices under key
 // hypotheses, which requires replaying individual rounds.
+//
+// Attacker-side reference arithmetic, table-driven and not constant-time:
+// only BitslicedGift64 is; the table victims are the leak under study.
 #pragma once
 
 #include <cstdint>

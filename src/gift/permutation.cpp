@@ -1,6 +1,8 @@
 #include "gift/permutation.h"
 
 #include <cassert>
+#include <cstddef>
+#include <utility>
 
 namespace grinch::gift {
 namespace {
@@ -26,9 +28,53 @@ std::vector<unsigned> present_map() {
   return map;
 }
 
+/// Byte images of `map` (see the header): entry (256·b + v) holds, in
+/// ⌈width/64⌉ words, the image of value v in input byte b.
+std::vector<std::uint64_t> byte_images(const std::vector<unsigned>& map) {
+  const auto width = static_cast<unsigned>(map.size());
+  const unsigned words = (width + 63) / 64;
+  const unsigned bytes = (width + 7) / 8;
+  std::vector<std::uint64_t> image(std::size_t{256} * bytes * words, 0);
+  for (unsigned b = 0; b < bytes; ++b) {
+    for (unsigned v = 0; v < 256; ++v) {
+      std::uint64_t* entry = &image[(256 * b + v) * words];
+      for (unsigned k = 0; k < 8 && 8 * b + k < width; ++k) {
+        if (((v >> k) & 1u) == 0) continue;
+        const unsigned j = map[8 * b + k];
+        entry[j / 64] |= std::uint64_t{1} << (j % 64);
+      }
+    }
+  }
+  return image;
+}
+
+std::uint64_t permute64(const std::uint64_t* image,
+                        std::uint64_t state) noexcept {
+  std::uint64_t out = 0;
+  for (unsigned b = 0; b < 8; ++b) {
+    out |= image[256 * b + ((state >> (8 * b)) & 0xFF)];
+  }
+  return out;
+}
+
+void permute128(const std::uint64_t* image, std::uint64_t& hi,
+                std::uint64_t& lo) noexcept {
+  std::uint64_t nh = 0, nl = 0;
+  for (unsigned b = 0; b < 16; ++b) {
+    const std::uint64_t word = b < 8 ? lo : hi;
+    const std::uint64_t* entry =
+        &image[2 * (256 * b + ((word >> (8 * (b % 8))) & 0xFF))];
+    nl |= entry[0];
+    nh |= entry[1];
+  }
+  hi = nh;
+  lo = nl;
+}
+
 }  // namespace
 
-BitPermutation::BitPermutation(std::vector<unsigned> map) : fwd_(std::move(map)) {
+BitPermutation::BitPermutation(std::vector<unsigned> map)
+    : fwd_(std::move(map)) {
   assert(fwd_.size() <= 128);
   inv_.assign(fwd_.size(), ~0u);
   for (unsigned i = 0; i < fwd_.size(); ++i) {
@@ -37,58 +83,30 @@ BitPermutation::BitPermutation(std::vector<unsigned> map) : fwd_(std::move(map))
     assert(inv_[j] == ~0u && "permutation must be bijective");
     inv_[j] = i;
   }
+  fwd_image_ = byte_images(fwd_);
+  inv_image_ = byte_images(inv_);
 }
 
 std::uint64_t BitPermutation::apply64(std::uint64_t state) const noexcept {
   assert(width() == 64);
-  std::uint64_t out = 0;
-  for (unsigned i = 0; i < 64; ++i) {
-    out |= ((state >> i) & 1u) << fwd_[i];
-  }
-  return out;
+  return permute64(fwd_image_.data(), state);
 }
 
 std::uint64_t BitPermutation::invert64(std::uint64_t state) const noexcept {
   assert(width() == 64);
-  std::uint64_t out = 0;
-  for (unsigned i = 0; i < 64; ++i) {
-    out |= ((state >> i) & 1u) << inv_[i];
-  }
-  return out;
+  return permute64(inv_image_.data(), state);
 }
 
 void BitPermutation::apply128(std::uint64_t& hi, std::uint64_t& lo)
     const noexcept {
   assert(width() == 128);
-  std::uint64_t nh = 0, nl = 0;
-  for (unsigned i = 0; i < 128; ++i) {
-    const std::uint64_t b =
-        (i < 64) ? ((lo >> i) & 1u) : ((hi >> (i - 64)) & 1u);
-    const unsigned j = fwd_[i];
-    if (j < 64)
-      nl |= b << j;
-    else
-      nh |= b << (j - 64);
-  }
-  hi = nh;
-  lo = nl;
+  permute128(fwd_image_.data(), hi, lo);
 }
 
 void BitPermutation::invert128(std::uint64_t& hi, std::uint64_t& lo)
     const noexcept {
   assert(width() == 128);
-  std::uint64_t nh = 0, nl = 0;
-  for (unsigned i = 0; i < 128; ++i) {
-    const std::uint64_t b =
-        (i < 64) ? ((lo >> i) & 1u) : ((hi >> (i - 64)) & 1u);
-    const unsigned j = inv_[i];
-    if (j < 64)
-      nl |= b << j;
-    else
-      nh |= b << (j - 64);
-  }
-  hi = nh;
-  lo = nl;
+  permute128(inv_image_.data(), hi, lo);
 }
 
 const BitPermutation& gift64_permutation() {

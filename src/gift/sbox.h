@@ -4,7 +4,9 @@
 // PRESENT" (eprint 2017/622, Table 1).  The attack library additionally
 // needs the inverse S-Box (Algorithm 1 of the GRINCH paper walks the S-Box
 // backwards to build plaintext candidate lists), so both directions live
-// here with bijectivity checked at construction.
+// here with bijectivity checked at construction.  Whole-state SubCells
+// substitutes a byte — two nibbles — per lookup in a 256-entry table the
+// constructor derives from the 16-entry one.
 #pragma once
 
 #include <array>
@@ -36,17 +38,13 @@ class SBox {
   [[nodiscard]] std::uint64_t invert_state64(std::uint64_t state)
       const noexcept;
 
-  [[nodiscard]] const std::array<std::uint8_t, 16>& table() const noexcept {
-    return fwd_;
-  }
-  [[nodiscard]] const std::array<std::uint8_t, 16>& inverse_table()
-      const noexcept {
-    return inv_;
-  }
-
  private:
   std::array<std::uint8_t, 16> fwd_{};
   std::array<std::uint8_t, 16> inv_{};
+  /// Both nibbles of a byte substituted at once: fwd_byte_[v] =
+  /// fwd_[v >> 4] << 4 | fwd_[v & 0xF], likewise inv_byte_.
+  std::array<std::uint8_t, 256> fwd_byte_{};
+  std::array<std::uint8_t, 256> inv_byte_{};
 };
 
 /// The GIFT S-Box GS (shared by GIFT-64 and GIFT-128).

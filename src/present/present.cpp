@@ -1,8 +1,5 @@
 #include "present/present.h"
 
-#include <array>
-#include <vector>
-
 #include "gift/permutation.h"
 #include "gift/sbox.h"
 
@@ -28,48 +25,12 @@ std::uint64_t inv_p_layer(std::uint64_t state) {
   return present_permutation().invert64(state);
 }
 
-/// 80-bit key register held in (hi: bits 79..64, lo: bits 63..0).
-struct Key80 {
-  std::uint16_t hi = 0;
-  std::uint64_t lo = 0;
-};
-
-/// Round keys for all 32 AddRoundKey steps of PRESENT-80.
-std::vector<std::uint64_t> expand80(const Key128& key) {
-  Key80 k{static_cast<std::uint16_t>(key.hi & 0xFFFF), key.lo};
-  std::vector<std::uint64_t> rks;
-  rks.reserve(32);
-  for (unsigned round = 1; round <= 32; ++round) {
-    // Round key = leftmost 64 bits, i.e. bits 79..16 of the register.
-    rks.push_back((static_cast<std::uint64_t>(k.hi) << 48) | (k.lo >> 16));
-    // 1) rotate the 80-bit register left by 61.
-    const std::uint64_t full_lo = k.lo;
-    const std::uint64_t full_hi = k.hi;  // 16 significant bits
-    // Compose the 80-bit value as (hi:16, lo:64); left rotate by 61 ==
-    // right rotate by 19.
-    const std::uint64_t new_lo =
-        (full_lo >> 19) | (full_hi << 45) | (full_lo << 61);
-    const std::uint64_t new_hi = (full_lo >> 3) & 0xFFFF;
-    k.lo = new_lo;
-    k.hi = static_cast<std::uint16_t>(new_hi);
-    // 2) S-Box on the top 4 bits (79..76).
-    const unsigned top = (k.hi >> 12) & 0xF;
-    k.hi = static_cast<std::uint16_t>(
-        (k.hi & 0x0FFF) | (present_sbox().apply(top) << 12));
-    // 3) XOR round counter into bits 19..15.
-    const std::uint64_t ctr = static_cast<std::uint64_t>(round) << 15;
-    k.lo ^= ctr;
-  }
-  return rks;
-}
-
-/// Round keys for all 32 AddRoundKey steps of PRESENT-128.
-std::vector<std::uint64_t> expand128(const Key128& key) {
+/// Round keys of PRESENT-128.
+RoundKeys expand128(const Key128& key) noexcept {
   std::uint64_t hi = key.hi, lo = key.lo;
-  std::vector<std::uint64_t> rks;
-  rks.reserve(32);
+  RoundKeys rks{};
   for (unsigned round = 1; round <= 32; ++round) {
-    rks.push_back(hi);  // leftmost 64 bits
+    rks[round - 1] = hi;  // leftmost 64 bits
     // 1) rotate the 128-bit register left by 61.
     const std::uint64_t nhi = (hi << 61) | (lo >> 3);
     const std::uint64_t nlo = (lo << 61) | (hi >> 3);
@@ -88,8 +49,7 @@ std::vector<std::uint64_t> expand128(const Key128& key) {
   return rks;
 }
 
-std::uint64_t run_encrypt(std::uint64_t state,
-                          const std::vector<std::uint64_t>& rks) {
+std::uint64_t run_encrypt(std::uint64_t state, const RoundKeys& rks) {
   for (unsigned r = 0; r < 31; ++r) {
     state ^= rks[r];
     state = sbox_layer(state);
@@ -98,8 +58,7 @@ std::uint64_t run_encrypt(std::uint64_t state,
   return state ^ rks[31];
 }
 
-std::uint64_t run_decrypt(std::uint64_t state,
-                          const std::vector<std::uint64_t>& rks) {
+std::uint64_t run_decrypt(std::uint64_t state, const RoundKeys& rks) {
   state ^= rks[31];
   for (unsigned r = 31; r-- > 0;) {
     state = inv_p_layer(state);
@@ -111,12 +70,35 @@ std::uint64_t run_decrypt(std::uint64_t state,
 
 }  // namespace
 
+RoundKeys Present80::round_keys(const Key128& key) noexcept {
+  // 80-bit key register: hi = bits 79..64, lo = bits 63..0.
+  auto hi = static_cast<std::uint16_t>(key.hi & 0xFFFF);
+  std::uint64_t lo = key.lo;
+  RoundKeys rks{};
+  for (unsigned round = 1; round <= 32; ++round) {
+    // Round key = leftmost 64 bits, i.e. bits 79..16 of the register.
+    rks[round - 1] = (static_cast<std::uint64_t>(hi) << 48) | (lo >> 16);
+    // 1) rotate the 80-bit register left by 61 (== right by 19).
+    const std::uint64_t new_lo =
+        (lo >> 19) | (static_cast<std::uint64_t>(hi) << 45) | (lo << 61);
+    hi = static_cast<std::uint16_t>((lo >> 3) & 0xFFFF);
+    lo = new_lo;
+    // 2) S-Box on the top 4 bits (79..76).
+    const unsigned top = (hi >> 12) & 0xF;
+    hi = static_cast<std::uint16_t>((hi & 0x0FFF) |
+                                    (present_sbox().apply(top) << 12));
+    // 3) XOR round counter into bits 19..15.
+    lo ^= static_cast<std::uint64_t>(round) << 15;
+  }
+  return rks;
+}
+
 std::uint64_t Present80::encrypt(std::uint64_t plaintext, const Key128& key) {
-  return run_encrypt(plaintext, expand80(key));
+  return run_encrypt(plaintext, round_keys(key));
 }
 
 std::uint64_t Present80::decrypt(std::uint64_t ciphertext, const Key128& key) {
-  return run_decrypt(ciphertext, expand80(key));
+  return run_decrypt(ciphertext, round_keys(key));
 }
 
 std::uint64_t Present128::encrypt(std::uint64_t plaintext, const Key128& key) {

@@ -8,13 +8,22 @@
 //
 // 64-bit block, 31 rounds, 80- or 128-bit key.  Verified against the
 // CHES 2007 test vectors in tests/present/present_test.cpp.
+//
+// Attacker-side reference arithmetic (key verification, the 2^16 finalize
+// search), table-driven and not constant-time; the table victim
+// TablePresent80 (table_present.h) is the leak under study.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/key128.h"
 
 namespace grinch::present {
+
+/// The 32 AddRoundKey words of one encryption: index r keys round r,
+/// index 31 is the final whitening key.
+using RoundKeys = std::array<std::uint64_t, 32>;
 
 /// PRESENT with an 80-bit key (stored in the low 80 bits of a Key128).
 class Present80 {
@@ -25,6 +34,9 @@ class Present80 {
                                              const Key128& key);
   [[nodiscard]] static std::uint64_t decrypt(std::uint64_t ciphertext,
                                              const Key128& key);
+
+  /// The key schedule, expanded on the stack.
+  [[nodiscard]] static RoundKeys round_keys(const Key128& key) noexcept;
 };
 
 /// PRESENT with a 128-bit key.

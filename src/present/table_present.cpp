@@ -8,27 +8,9 @@
 
 namespace grinch::present {
 
-/// Key schedule identical to Present80's (see present.cpp); duplicated
-/// round-key extraction kept private there, so recompute here.
 TablePresent80::Schedule TablePresent80::make_schedule(const Key128& key) {
-  std::uint16_t hi = static_cast<std::uint16_t>(key.hi & 0xFFFF);
-  std::uint64_t lo = key.lo;
-  std::vector<std::uint64_t> rks;
-  rks.reserve(32);
-  for (unsigned round = 1; round <= 32; ++round) {
-    rks.push_back((static_cast<std::uint64_t>(hi) << 48) | (lo >> 16));
-    const std::uint64_t new_lo = (lo >> 19) |
-                                 (static_cast<std::uint64_t>(hi) << 45) |
-                                 (lo << 61);
-    const auto new_hi = static_cast<std::uint16_t>((lo >> 3) & 0xFFFF);
-    lo = new_lo;
-    hi = new_hi;
-    const unsigned top = (hi >> 12) & 0xF;
-    hi = static_cast<std::uint16_t>((hi & 0x0FFF) |
-                                    (gift::present_sbox().apply(top) << 12));
-    lo ^= static_cast<std::uint64_t>(round) << 15;
-  }
-  return rks;
+  const RoundKeys rks = Present80::round_keys(key);
+  return Schedule(rks.begin(), rks.end());
 }
 
 TablePresent80::TablePresent80(const target::TableLayout& layout)
@@ -47,7 +29,8 @@ std::uint64_t TablePresent80::encrypt_rounds(std::uint64_t plaintext,
                                              const Key128& key,
                                              unsigned rounds,
                                              gift::TraceSink* sink) const {
-  return encrypt_with_schedule(plaintext, make_schedule(key), rounds, sink);
+  const RoundKeys rks = Present80::round_keys(key);
+  return encrypt_with_schedule(plaintext, rks, rounds, sink);
 }
 
 std::uint64_t TablePresent80::encrypt_with_schedule(

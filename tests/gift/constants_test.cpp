@@ -16,8 +16,10 @@ TEST(Constants, FirstConstantsMatchSpec) {
 }
 
 TEST(Constants, StatelessMatchesStateful) {
+  // 64 rounds reach past the LFSR's 63-state period, so the table's
+  // wrap-around is checked too.
   RoundConstantLfsr lfsr;
-  for (unsigned r = 0; r < 48; ++r) {
+  for (unsigned r = 0; r < 64; ++r) {
     EXPECT_EQ(round_constant(r), lfsr.next()) << "round " << r;
   }
 }
@@ -25,7 +27,7 @@ TEST(Constants, StatelessMatchesStateful) {
 TEST(Constants, First48ConstantsAreSixBitsAndNonZero) {
   // The spec lists 48 round constants (enough for GIFT-128's 40 rounds),
   // all non-zero.  The affine LFSR does pass through zero later in its
-  // 64-state cycle, which is fine — no GIFT variant uses that many rounds.
+  // 63-state cycle, which is fine — no GIFT variant uses that many rounds.
   RoundConstantLfsr lfsr;
   for (unsigned r = 0; r < 48; ++r) {
     const std::uint8_t c = lfsr.next();
@@ -35,8 +37,9 @@ TEST(Constants, First48ConstantsAreSixBitsAndNonZero) {
 }
 
 TEST(Constants, LfsrHasFullPeriod64) {
-  // The affine update x -> (x<<1)|(c5^c4^1) over 6 bits is a bijection;
-  // starting from 0 it must return to 0 after exactly 64 steps.
+  // The affine update x -> (x<<1)|(c5^c4^1) over 6 bits is a bijection
+  // with 0x3F as a fixed point; starting from 0 it must return to 0 after
+  // exactly 63 steps.
   RoundConstantLfsr lfsr;
   unsigned period = 0;
   std::uint8_t c;

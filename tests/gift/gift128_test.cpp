@@ -6,6 +6,7 @@
 #include "common/bits.h"
 #include "common/hex.h"
 #include "common/rng.h"
+#include "oracle/layer_oracle.h"
 
 namespace grinch::gift {
 namespace {
@@ -60,8 +61,42 @@ TEST_P(Gift128Kat, DecryptMatchesPublishedVector) {
   EXPECT_EQ(state_to_hex(Gift128::decrypt(ct, key)), kat.plaintext);
 }
 
+TEST_P(Gift128Kat, OracleCompositionMatchesPublishedVector) {
+  const Kat& kat = GetParam();
+  Key128 key;
+  ASSERT_TRUE(Key128::from_hex(kat.key, key));
+  const State128 pt = state_from_hex(kat.plaintext);
+  const State128 ct = state_from_hex(kat.ciphertext);
+  EXPECT_EQ(oracle::gift128_encrypt(pt, key), ct);
+  EXPECT_EQ(oracle::gift128_decrypt(ct, key), pt);
+}
+
 INSTANTIATE_TEST_SUITE_P(PublishedVectors, Gift128Kat,
                          ::testing::ValuesIn(kKats));
+
+TEST(Gift128, AddRoundKeyMatchesPerBitOracle) {
+  Xoshiro256 rng{0xA128};
+  for (int i = 0; i < 10000; ++i) {
+    const State128 state{rng.block64(), rng.block64()};
+    const RoundKey128 rk{static_cast<std::uint32_t>(rng.next()),
+                         static_cast<std::uint32_t>(rng.next())};
+    ASSERT_EQ(Gift128::add_round_key(state, rk),
+              oracle::add_round_key128(state, rk))
+        << "state " << state_to_hex(state) << " u " << rk.u << " v " << rk.v;
+  }
+}
+
+TEST(Gift128, EncryptDecryptMatchOracleComposition) {
+  Xoshiro256 rng{0xC128};
+  for (int i = 0; i < 10000; ++i) {
+    const Key128 key = rng.key128();
+    const State128 block{rng.block64(), rng.block64()};
+    ASSERT_EQ(Gift128::encrypt(block, key), oracle::gift128_encrypt(block, key))
+        << "key " << key.to_hex() << " block " << state_to_hex(block);
+    ASSERT_EQ(Gift128::decrypt(block, key), oracle::gift128_decrypt(block, key))
+        << "key " << key.to_hex() << " block " << state_to_hex(block);
+  }
+}
 
 TEST(Gift128, RoundTripRandomKeys) {
   Xoshiro256 rng{0x128128};

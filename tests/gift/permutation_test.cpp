@@ -5,9 +5,37 @@
 #include <set>
 
 #include "common/rng.h"
+#include "gift/gift128.h"
+#include "oracle/layer_oracle.h"
 
 namespace grinch::gift {
 namespace {
+
+/// Random states per differential test (on top of the exhaustive
+/// one-byte states that reach every byte-image entry).
+constexpr int kSamples = 10000;
+
+::testing::AssertionResult matches_oracle64(const BitPermutation& p,
+                                            std::uint64_t v) {
+  if (p.apply64(v) == oracle::permute64(p, v) &&
+      p.invert64(v) == oracle::permute64(p, v, true)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "state 0x" << std::hex << v;
+}
+
+::testing::AssertionResult matches_oracle128(const BitPermutation& p,
+                                             State128 v) {
+  State128 fwd = v, inv = v;
+  p.apply128(fwd.hi, fwd.lo);
+  p.invert128(inv.hi, inv.lo);
+  if (fwd == oracle::permute128(p, v) &&
+      inv == oracle::permute128(p, v, true)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "state 0x" << std::hex << v.hi << ":" << v.lo;
+}
 
 TEST(Permutation, Gift64KnownEntries) {
   // Spot values from the published P64 table (eprint 2017/622, Table 2).
@@ -90,6 +118,37 @@ TEST(Permutation, Invert128UndoesApply128) {
     p.invert128(hi, lo);
     EXPECT_EQ(hi, oh);
     EXPECT_EQ(lo, ol);
+  }
+}
+
+TEST(Permutation, Apply64MatchesPerBitOracle) {
+  // GIFT-64 PermBits and the PRESENT pLayer, both directions: every
+  // byte-image entry (one nonzero byte at a time), then random states.
+  Xoshiro256 rng{22};
+  for (const BitPermutation* p :
+       {&gift64_permutation(), &present_permutation()}) {
+    for (unsigned b = 0; b < 8; ++b) {
+      for (std::uint64_t v = 0; v < 256; ++v) {
+        ASSERT_TRUE(matches_oracle64(*p, v << (8 * b)));
+      }
+    }
+    for (int i = 0; i < kSamples; ++i) {
+      ASSERT_TRUE(matches_oracle64(*p, rng.block64()));
+    }
+  }
+}
+
+TEST(Permutation, Apply128MatchesPerBitOracle) {
+  Xoshiro256 rng{23};
+  const BitPermutation& p = gift128_permutation();
+  for (unsigned b = 0; b < 8; ++b) {
+    for (std::uint64_t v = 0; v < 256; ++v) {
+      ASSERT_TRUE(matches_oracle128(p, {0, v << (8 * b)}));
+      ASSERT_TRUE(matches_oracle128(p, {v << (8 * b), 0}));
+    }
+  }
+  for (int i = 0; i < kSamples; ++i) {
+    ASSERT_TRUE(matches_oracle128(p, {rng.block64(), rng.block64()}));
   }
 }
 

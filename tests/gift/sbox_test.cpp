@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+
+#include "common/rng.h"
+#include "oracle/layer_oracle.h"
 
 namespace grinch::gift {
 namespace {
+
+::testing::AssertionResult matches_oracle(const SBox& sbox, std::uint64_t v) {
+  if (sbox.apply_state64(v) == oracle::sub_cells64(sbox, v) &&
+      sbox.invert_state64(v) == oracle::sub_cells64(sbox, v, true)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "state 0x" << std::hex << v;
+}
 
 TEST(SBox, GiftTableMatchesSpec) {
   // eprint 2017/622 Table 1.
@@ -44,6 +56,22 @@ TEST(SBox, ApplyState64SubstitutesEachNibbleIndependently) {
 TEST(SBox, InvertState64IsInverseOfApplyState64) {
   const std::uint64_t in = 0x0123456789ABCDEFull;
   EXPECT_EQ(gift_sbox().invert_state64(gift_sbox().apply_state64(in)), in);
+}
+
+TEST(SBox, StateSubstitutionMatchesPerNibbleOracle) {
+  // Both S-Boxes, both directions: every byte-table entry at every byte
+  // position, then 10^4 random states.
+  Xoshiro256 rng{24};
+  for (const SBox* sbox : {&gift_sbox(), &present_sbox()}) {
+    for (unsigned b = 0; b < 8; ++b) {
+      for (std::uint64_t v = 0; v < 256; ++v) {
+        ASSERT_TRUE(matches_oracle(*sbox, v << (8 * b)));
+      }
+    }
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_TRUE(matches_oracle(*sbox, rng.block64()));
+    }
+  }
 }
 
 TEST(SBox, PresentTableMatchesSpec) {

@@ -7,6 +7,7 @@
 #include "common/bits.h"
 #include "common/hex.h"
 #include "common/rng.h"
+#include "oracle/layer_oracle.h"
 
 namespace grinch::present {
 namespace {
@@ -53,8 +54,54 @@ TEST_P(Present80Kat, DecryptMatchesPublishedVector) {
   EXPECT_EQ(Present80::decrypt(kat.ciphertext, key80(kat.key)), kat.plaintext);
 }
 
+TEST_P(Present80Kat, OracleCompositionMatchesPublishedVector) {
+  const Kat80& kat = GetParam();
+  const auto rks = oracle::present80_round_keys(key80(kat.key));
+  EXPECT_EQ(oracle::present_encrypt(kat.plaintext, rks), kat.ciphertext);
+  EXPECT_EQ(oracle::present_decrypt(kat.ciphertext, rks), kat.plaintext);
+}
+
 INSTANTIATE_TEST_SUITE_P(Ches2007Vectors, Present80Kat,
                          ::testing::ValuesIn(kKats80));
+
+TEST(Present80, RoundKeysMatchBitRegisterSchedule) {
+  Xoshiro256 rng{0x5C80};
+  for (int i = 0; i < 10000; ++i) {
+    const Key128 key = rng.key128();
+    ASSERT_EQ(Present80::round_keys(key), oracle::present80_round_keys(key))
+        << "key " << key.to_hex();
+  }
+}
+
+TEST(Present80, EncryptDecryptMatchOracleComposition) {
+  // Table-driven sBoxLayer/pLayer against the per-nibble and per-bit
+  // oracle layers under the bit-register key schedule.
+  Xoshiro256 rng{0xC80};
+  for (int i = 0; i < 10000; ++i) {
+    const Key128 key = rng.key128();
+    const std::uint64_t block = rng.block64();
+    const auto rks = oracle::present80_round_keys(key);
+    ASSERT_EQ(Present80::encrypt(block, key), oracle::present_encrypt(block, rks))
+        << "key " << key.to_hex() << " block " << to_hex_u64(block);
+    ASSERT_EQ(Present80::decrypt(block, key), oracle::present_decrypt(block, rks))
+        << "key " << key.to_hex() << " block " << to_hex_u64(block);
+  }
+}
+
+TEST(Present128, EncryptDecryptMatchOracleComposition) {
+  Xoshiro256 rng{0xC128};
+  for (int i = 0; i < 10000; ++i) {
+    const Key128 key = rng.key128();
+    const std::uint64_t block = rng.block64();
+    const auto rks = oracle::present128_round_keys(key);
+    ASSERT_EQ(Present128::encrypt(block, key),
+              oracle::present_encrypt(block, rks))
+        << "key " << key.to_hex() << " block " << to_hex_u64(block);
+    ASSERT_EQ(Present128::decrypt(block, key),
+              oracle::present_decrypt(block, rks))
+        << "key " << key.to_hex() << " block " << to_hex_u64(block);
+  }
+}
 
 TEST(Present80, RoundTripRandomKeys) {
   Xoshiro256 rng{0x80};
