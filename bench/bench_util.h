@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "attack/grinch.h"
-#include "cachesim/kernels/kernels.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -156,10 +155,6 @@ class BenchContext {
     if (include_run_info) {
       json::Value run = json::Value::object();
       run.set("threads", pool_ ? pool_->thread_count() : threads());
-      // Active probe-kernel (cachesim/kernels): results are bit-identical
-      // across kernels, so this lives in the run section — which machine
-      // facts produced the document, not what the document says.
-      run.set("kernel", std::string{cachesim::kernels::active().name});
       doc.set("run", std::move(run));
     }
     doc.set("config", config_);

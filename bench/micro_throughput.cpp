@@ -18,7 +18,6 @@
 #include "attack/grinch.h"
 #include "bench_util.h"
 #include "cachesim/cache.h"
-#include "cachesim/kernels/kernels.h"
 #include "common/rng.h"
 #include "gift/bitslice.h"
 #include "gift/gift128.h"
@@ -220,22 +219,6 @@ void BM_WideRecovery(benchmark::State& state) {
 }
 BENCHMARK(BM_WideRecovery)->Arg(1)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_Transpose64(benchmark::State& state, cachesim::kernels::Kind kind) {
-  // The 64x64 bit-matrix transpose behind WideObservationBatch::
-  // assign_all, on a dense random matrix.
-  const cachesim::kernels::Ops& ops = cachesim::kernels::ops(kind);
-  Xoshiro256 rng{10};
-  std::uint64_t in[64];
-  std::uint64_t out[64];
-  for (std::uint64_t& w : in) w = rng.next();
-  for (auto _ : state) {
-    ops.transpose_64x64(in, out);
-    benchmark::DoNotOptimize(out[0]);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
 void BM_FullFirstRoundAttack(benchmark::State& state) {
   Xoshiro256 rng{8};
   for (auto _ : state) {
@@ -269,22 +252,6 @@ int main(int argc, char** argv) {
   int bargc = static_cast<int>(bargv.size());
   benchmark::Initialize(&bargc, bargv.data());
   if (benchmark::ReportUnrecognizedArguments(bargc, bargv.data())) return 1;
-  // One registration per compiled-in-and-executable kernel, so a single
-  // run compares generic/swar/avx2 on the same machine; every other
-  // benchmark (and the wide path) runs on the active kernel, recorded in
-  // the document context below.
-  {
-    using cachesim::kernels::Kind;
-    constexpr Kind kKinds[] = {Kind::kGeneric, Kind::kSwar, Kind::kAvx2};
-    for (const Kind kind : kKinds) {
-      if (!cachesim::kernels::available(kind)) continue;
-      const char* name = cachesim::kernels::ops(kind).name;
-      benchmark::RegisterBenchmark(
-          (std::string{"BM_Transpose64/"} + name).c_str(), BM_Transpose64,
-          kind);
-    }
-  }
-  benchmark::AddCustomContext("kernel", cachesim::kernels::active().name);
   // Pre-overhaul reference numbers (virtual-dispatch cache, per-encryption
   // heap traffic) so the JSON trajectory carries its own baseline.
   benchmark::AddCustomContext("baseline_cache_access_ns", "86.7");

@@ -56,11 +56,9 @@ bool fail(std::string* error, std::string message) {
 
 bool Checkpoint::save(const std::string& path, std::string* error) const {
   std::string payload;
-  payload.reserve(spec.size() + kernel.size() + 96);
+  payload.reserve(spec.size() + 96);
   put_u32(payload, static_cast<std::uint32_t>(spec.size()));
   payload.append(spec);
-  put_u32(payload, static_cast<std::uint32_t>(kernel.size()));
-  payload.append(kernel);
   put_u64(payload, shard_total);
   put_u64(payload, flushed_shards);
   put_u64(payload, flushed_trials);
@@ -149,9 +147,7 @@ std::optional<Checkpoint> Checkpoint::load(const std::string& path,
   Reader r{payload};
   Checkpoint ck;
   std::uint32_t spec_len = 0;
-  std::uint32_t kernel_len = 0;
   if (!r.u32(spec_len) || !r.bytes(ck.spec, spec_len) ||
-      !r.u32(kernel_len) || !r.bytes(ck.kernel, kernel_len) ||
       !r.u64(ck.shard_total) || !r.u64(ck.flushed_shards) ||
       !r.u64(ck.flushed_trials) || !r.u64(ck.result_bytes) ||
       !r.u32(ck.result_crc) || !r.u64(ck.counters.total_encryptions) ||

@@ -56,18 +56,20 @@ struct Counters {
 struct Checkpoint {
   static constexpr std::uint32_t kMagic = 0x48435247u;  // "GRCH" (LE)
   // v2 added the probe-kernel name (self-description, like the JSONL
-  // records); v3 the Counters::finished tally.  Older checkpoints are
+  // records); v3 the Counters::finished tally; v4 dropped the kernel
+  // name with the kernel layer, so a v3 checkpoint is never resumed into
+  // a results file whose records lack the field.  Older checkpoints are
   // refused like any unknown version — they are machine-local scratch,
   // not an archival format.
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
   /// CampaignSpec::canonical() of the campaign this checkpoint belongs
   /// to; resume re-parses the spec from here, so a checkpoint is
   /// self-contained.
   std::string spec;
-  /// Active probe-kernel name (cachesim/kernels) of the run that wrote
-  /// this checkpoint — informational self-description; resume does not
-  /// gate on it (any kernel reproduces the same bytes).
+  /// Not serialized and read by nothing in the library: the end-to-end
+  /// benchmark's checkpoint mirror (perfbench/) still assigns it.  Delete
+  /// it with that assignment and cachesim/kernels/kernels.h.
   std::string kernel;
   std::uint64_t shard_total = 0;
   std::uint64_t flushed_shards = 0;

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "cachesim/kernels/kernels.h"
 #include "campaign/progress.h"
 #include "campaign/record.h"
 #include "common/crc32.h"
@@ -176,7 +175,6 @@ Outcome run_campaign_t(const CampaignSpec& spec, const Options& opts) {
     std::fflush(results.get());
     Checkpoint ck;
     ck.spec = spec.canonical();
-    ck.kernel = cachesim::kernels::active().name;
     ck.shard_total = total;
     ck.flushed_shards = next_flush;
     ck.flushed_trials = trials_flushed;

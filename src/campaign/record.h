@@ -30,7 +30,6 @@
 #include <string>
 #include <string_view>
 
-#include "cachesim/kernels/kernels.h"
 #include "campaign/checkpoint.h"
 #include "campaign/spec.h"
 #include "common/key128.h"
@@ -80,11 +79,6 @@ std::string trial_record(const CampaignSpec& spec, std::size_t trial,
                std::string_view{spec.fault_profile});
   append_field(out, ",\"wide_width\":",
                static_cast<std::uint64_t>(spec.wide_width));
-  // Which probe-kernel implementation produced this record (generic /
-  // swar / avx2) — constant within a process, so byte-stable across
-  // threads and kill/resume on the same machine+env.
-  append_field(out, ",\"kernel\":",
-               std::string_view{cachesim::kernels::active().name});
   append_field(out, ",\"victim_key\":",
                std::string_view{victim_key.to_hex()});
   append_field(out, ",\"seed\":", seed);

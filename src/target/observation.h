@@ -31,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "cachesim/kernels/kernels.h"
 #include "target/line_set.h"
 #include "target/table_layout.h"
 
@@ -66,11 +65,10 @@ struct Observation {
 /// a warm buffer never reallocates).
 using ObservationBatch = std::vector<Observation>;
 
-/// Struct-of-arrays batch of up to 64 observations, transposed: the
-/// presence verdicts live row-major — bit `lane` of row word r is lane
-/// `lane`'s verdict for S-Box index r — so WideObserveCore writes all 64
-/// lanes with one kernel bit transpose (docs/TARGETS.md, "The wide
-/// path").  One writer (assign_all), one reader (extract/present_word).
+/// A batch of up to 64 observations, one per lane, stored lane-major:
+/// WideObserveCore::run writes each lane's presence word, probed round
+/// and attacker cycles as its job finishes, and extract()/present_word()
+/// read them back (docs/TARGETS.md, "The wide path").
 class WideObservationBatch {
  public:
   static constexpr unsigned kMaxWidth = 64;
@@ -80,25 +78,19 @@ class WideObservationBatch {
     assert(width <= kMaxWidth && rows <= LineSet::kMaxBits);
     width_ = width;
     rows_ = rows;
-    row_lanes_.fill(0);
   }
 
   [[nodiscard]] unsigned width() const noexcept { return width_; }
   [[nodiscard]] unsigned rows() const noexcept { return rows_; }
 
-  /// Bulk transposed writer: one kernel 64x64 bit transpose.
-  /// present_words[l] carries lane l's verdicts over rows() rows; entries
-  /// for lanes >= width() and bits >= rows() must be zero (the transpose
-  /// writes all 64 row words verbatim).
-  void assign_all(const std::uint64_t* present_words,
-                  const std::uint32_t* probed_after,
-                  const std::uint64_t* cycles) noexcept {
-    cachesim::kernels::active().transpose_64x64(present_words,
-                                               row_lanes_.data());
-    for (unsigned l = 0; l < width_; ++l) {
-      lane_probed_after_[l] = probed_after[l];
-      lane_cycles_[l] = cycles[l];
-    }
+  /// Stores lane `lane`'s observation; bit r of `present` is the verdict
+  /// for S-Box index r, and bits >= rows() must be zero.
+  void set(unsigned lane, std::uint64_t present, unsigned probed_after,
+           std::uint64_t cycles) noexcept {
+    assert(lane < width_);
+    lane_present_[lane] = present;
+    lane_probed_after_[lane] = probed_after;
+    lane_cycles_[lane] = cycles;
   }
 
   /// Rebuilds lane `lane`'s Observation, bit-identical to the scalar
@@ -106,26 +98,23 @@ class WideObservationBatch {
   [[nodiscard]] Observation extract(unsigned lane) const noexcept {
     assert(lane < width_);
     Observation o;
-    o.present = LineSet::from_word(present_word(lane), rows_);
+    o.present = LineSet::from_word(lane_present_[lane], rows_);
     o.probed_after_round = lane_probed_after_[lane];
     o.attacker_cycles = lane_cycles_[lane];
     return o;
   }
 
-  /// Lane `lane`'s presence verdicts gathered back into index-major
-  /// order (the kernel column gather — hot in the engines' per-lane
-  /// extract step).
+  /// Lane `lane`'s presence verdicts, bit r = S-Box index r.
   [[nodiscard]] std::uint64_t present_word(unsigned lane) const noexcept {
-    return cachesim::kernels::active().gather_column(row_lanes_.data(), rows_,
-                                                     lane);
+    assert(lane < width_);
+    return lane_present_[lane];
   }
 
  private:
   unsigned width_ = 0;
   unsigned rows_ = 0;
-  /// row_lanes_[r] bit l: lane l's verdict for row r (the transposition).
-  std::array<std::uint64_t, LineSet::kMaxBits> row_lanes_{};
-  std::array<std::uint32_t, kMaxWidth> lane_probed_after_{};
+  std::array<std::uint64_t, kMaxWidth> lane_present_{};
+  std::array<unsigned, kMaxWidth> lane_probed_after_{};
   std::array<std::uint64_t, kMaxWidth> lane_cycles_{};
 };
 

@@ -1,10 +1,8 @@
 // The 64-wide observation core.
 //
 // WideObserveCore runs up to 64 monitored partial-round encryptions per
-// call, one per job, and writes their observations transposed into a
-// WideObservationBatch through one kernel 64x64 bit transpose
-// (WideObservationBatch::assign_all).  Each job takes one of two exact
-// routes:
+// call, one per job, and writes each job's observation into its lane of
+// a WideObservationBatch.  Each job takes one of two exact routes:
 //
 //  * Presence-bitmap shortcut (run_presence) — LRU without a prefetcher
 //    (supported()) and monitored lines forming one contiguous line range
@@ -245,29 +243,26 @@ class WideObserveCore {
     if (lane < lanes_.size()) lanes_[lane].reset();
   }
 
-  /// Runs jobs[l] and stores its observation transposed into out lane l;
-  /// a job the shortcut cannot serve runs on backing lane jobs[l].lane.
-  /// When `states_out` is non-null, states_out[l] receives the victim
-  /// state after window.emit_rounds rounds (the ciphertext when
-  /// emit_rounds == Traits::kRounds).
+  /// Runs jobs[l] and stores its observation into out lane l; a job the
+  /// shortcut cannot serve runs on backing lane jobs[l].lane.  When
+  /// `states_out` is non-null, states_out[l] receives the victim state
+  /// after window.emit_rounds rounds (the ciphertext when emit_rounds ==
+  /// Traits::kRounds).
   void run(std::span<const Job> jobs, WideObservationBatch& out,
            Block* states_out = nullptr) {
     out.reset(static_cast<unsigned>(jobs.size()), 16);
-    // Lane-major scratch for the bulk transposed write; lanes >= width
-    // and verdict bits >= rows stay zero (assign_all's pre-condition).
-    std::array<std::uint64_t, WideObservationBatch::kMaxWidth> present{};
-    std::array<std::uint32_t, WideObservationBatch::kMaxWidth> probed{};
-    std::array<std::uint64_t, WideObservationBatch::kMaxWidth> cycles{};
     for (std::size_t l = 0; l < jobs.size(); ++l) {
       const Job& job = jobs[l];
+      std::uint64_t present = 0;
+      std::uint64_t cycles = 0;
       Block state;
-      if (!presence_ok_ || !run_presence(job, present[l], cycles[l], state)) {
-        state = run_fallback(job, present[l], cycles[l]);
+      if (!presence_ok_ || !run_presence(job, present, cycles, state)) {
+        state = run_fallback(job, present, cycles);
       }
       if (states_out != nullptr) states_out[l] = state;
-      probed[l] = job.window.probe_after;
+      out.set(static_cast<unsigned>(l), present, job.window.probe_after,
+              cycles);
     }
-    out.assign_all(present.data(), probed.data(), cycles.data());
   }
 
  private:

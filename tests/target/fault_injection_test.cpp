@@ -1,13 +1,15 @@
 // Channel fault-injection suite: the FaultyObservationSource decorator
-// (target/faulty_source.h) and KeyRecoveryEngine's noise robustness
-// (recovery_engine.h, docs/ROBUSTNESS.md).
+// (target/faulty_source.h), the per-lane FaultChannel the wide engine
+// runs (target/fault_channel.h), and KeyRecoveryEngine's noise
+// robustness (recovery_engine.h, docs/ROBUSTNESS.md).
 //
-// Decorator half: every fault mode behaves as documented (drops are
-// flagged, flips act at cache-line granularity, stale replays the
-// previous delivery), the fault stream is a deterministic function of the
-// profile seed, batch delivery corrupts identically to scalar delivery,
-// and rewind_to() really does erase a discarded speculative tail from the
-// channel state.
+// Channel half, on the decorator and on a bare FaultChannel alike: every
+// fault mode behaves as documented (drops are flagged, flips act at
+// cache-line granularity, stale replays the previous delivery) and the
+// fault stream is a deterministic function of the profile seed.  The
+// decorator alone: batch delivery corrupts identically to scalar
+// delivery, and rewind_to() really does erase a discarded speculative
+// tail from the channel state.
 //
 // Engine half, registry-wide: all three ciphers recover and verify the
 // full key through the documented moderate mixed profile (with restarts
@@ -28,6 +30,7 @@
 
 #include "common/rng.h"
 #include "gift/key_schedule.h"
+#include "target/fault_channel.h"
 #include "target/registry.h"
 
 namespace grinch::target {
@@ -53,10 +56,57 @@ bool stage_keys_equal(const StageKey& a, const StageKey& b) {
 }
 
 // ------------------------------------------------------------------ //
-//  Decorator unit tests (GIFT-64 direct-probe platform as the inner)  //
+//  Channel unit tests (GIFT-64 direct-probe platform as the inner)    //
 // ------------------------------------------------------------------ //
 
 using Gift64Platform = DirectProbePlatform<Gift64Recovery>;
+
+/// The two ways a fault profile reaches an observation: the decorator
+/// around a platform, or a bare FaultChannel applied to the platform's
+/// observations, as each wide-engine lane does.
+enum class Transport { kDecorator, kChannel };
+constexpr Transport kTransports[] = {Transport::kDecorator,
+                                     Transport::kChannel};
+
+const char* transport_name(Transport t) {
+  return t == Transport::kDecorator ? "decorator" : "channel";
+}
+
+/// A GIFT-64 platform whose stage-0 observations pass through one
+/// transport.
+class FaultyGift64 {
+ public:
+  FaultyGift64(Transport transport, const Gift64Platform::Config& config,
+               const Key128& key, const FaultProfile& profile)
+      : transport_(transport),
+        inner_(config, key),
+        decorator_(inner_, profile),
+        channel_(profile, inner_.layout(), inner_.index_line_ids()) {}
+  FaultyGift64(const FaultyGift64&) = delete;
+  FaultyGift64& operator=(const FaultyGift64&) = delete;
+
+  Observation observe(std::uint64_t pt) {
+    if (transport_ == Transport::kDecorator) return decorator_.observe(pt, 0);
+    Observation o = inner_.observe(pt, 0);
+    channel_.corrupt(o);
+    return o;
+  }
+  [[nodiscard]] const FaultChannel::Stats& stats() const {
+    return transport_ == Transport::kDecorator ? decorator_.stats()
+                                               : channel_.stats();
+  }
+  [[nodiscard]] std::uint64_t last_ciphertext() const {
+    return transport_ == Transport::kDecorator ? decorator_.last_ciphertext()
+                                               : inner_.last_ciphertext();
+  }
+  [[nodiscard]] const Gift64Platform& inner() const { return inner_; }
+
+ private:
+  Transport transport_;
+  Gift64Platform inner_;
+  FaultyObservationSource<std::uint64_t> decorator_;
+  FaultChannel channel_;
+};
 
 Key128 test_key(std::uint64_t salt) {
   Xoshiro256 rng{0xFA17 ^ salt};
@@ -72,44 +122,48 @@ std::vector<std::uint64_t> test_blocks(unsigned n, std::uint64_t seed) {
 
 TEST(FaultySource, ZeroRatesPassThrough) {
   const Key128 key = test_key(1);
-  Gift64Platform inner{{}, key};
-  Gift64Platform reference{{}, key};
-  FaultyObservationSource<std::uint64_t> faulty{inner,
-                                                FaultProfile::clean()};
-  for (const std::uint64_t pt : test_blocks(16, 0x11)) {
-    const Observation got = faulty.observe(pt, 0);
-    const Observation want = reference.observe(pt, 0);
-    EXPECT_EQ(got.present, want.present);
-    EXPECT_FALSE(got.dropped);
+  for (const Transport transport : kTransports) {
+    SCOPED_TRACE(transport_name(transport));
+    Gift64Platform reference{{}, key};
+    FaultyGift64 faulty{transport, {}, key, FaultProfile::clean()};
+    for (const std::uint64_t pt : test_blocks(16, 0x11)) {
+      const Observation got = faulty.observe(pt);
+      const Observation want = reference.observe(pt, 0);
+      EXPECT_EQ(got.present, want.present);
+      EXPECT_FALSE(got.dropped);
+    }
+    EXPECT_EQ(faulty.stats().observations, 16u);
+    EXPECT_EQ(faulty.stats().dropped, 0u);
+    EXPECT_EQ(faulty.stats().stale, 0u);
+    EXPECT_EQ(faulty.stats().bursts, 0u);
+    EXPECT_EQ(faulty.stats().lines_flipped_absent, 0u);
+    EXPECT_EQ(faulty.stats().lines_flipped_present, 0u);
+    EXPECT_EQ(faulty.last_ciphertext(), reference.last_ciphertext());
   }
-  EXPECT_EQ(faulty.stats().observations, 16u);
-  EXPECT_EQ(faulty.stats().dropped, 0u);
-  EXPECT_EQ(faulty.stats().stale, 0u);
-  EXPECT_EQ(faulty.stats().bursts, 0u);
-  EXPECT_EQ(faulty.stats().lines_flipped_absent, 0u);
-  EXPECT_EQ(faulty.stats().lines_flipped_present, 0u);
-  EXPECT_EQ(faulty.last_ciphertext(), reference.last_ciphertext());
 }
 
 TEST(FaultySource, StreamIsDeterministicInTheProfileSeed) {
   const Key128 key = test_key(2);
   const auto pts = test_blocks(64, 0x22);
   const FaultProfile profile = FaultProfile::moderate();
-  auto run = [&](std::uint64_t seed) {
-    Gift64Platform inner{{}, key};
-    FaultProfile p = profile;
-    p.seed = seed;
-    FaultyObservationSource<std::uint64_t> faulty{inner, p};
-    std::vector<std::uint64_t> words;
-    for (const std::uint64_t pt : pts) {
-      const Observation o = faulty.observe(pt, 0);
-      words.push_back(o.present.word() | (std::uint64_t{o.dropped} << 63));
-    }
-    return words;
-  };
-  const auto a = run(0xDE7);
-  EXPECT_EQ(a, run(0xDE7)) << "same seed must replay the same faults";
-  EXPECT_NE(a, run(0xDE8)) << "a different seed must shift the faults";
+  for (const Transport transport : kTransports) {
+    SCOPED_TRACE(transport_name(transport));
+    auto run = [&](std::uint64_t seed) {
+      FaultProfile p = profile;
+      p.seed = seed;
+      FaultyGift64 faulty{transport, {}, key, p};
+      std::vector<std::uint64_t> words;
+      for (const std::uint64_t pt : pts) {
+        const Observation o = faulty.observe(pt);
+        words.push_back(o.present.word() |
+                        (std::uint64_t{o.dropped} << 63));
+      }
+      return words;
+    };
+    const auto a = run(0xDE7);
+    EXPECT_EQ(a, run(0xDE7)) << "same seed must replay the same faults";
+    EXPECT_NE(a, run(0xDE8)) << "a different seed must shift the faults";
+  }
 }
 
 TEST(FaultySource, BatchCorruptsIdenticallyToScalar) {
@@ -168,24 +222,26 @@ TEST(FaultySource, RewindErasesTheDiscardedTail) {
 
 TEST(FaultySource, CertainDropsAreFlagged) {
   const Key128 key = test_key(5);
-  Gift64Platform inner{{}, key};
   FaultProfile p;
   p.dropped_rate = 1.0;
-  FaultyObservationSource<std::uint64_t> faulty{inner, p};
-  for (const std::uint64_t pt : test_blocks(8, 0x55)) {
-    const Observation o = faulty.observe(pt, 0);
-    EXPECT_TRUE(o.dropped);
-    // The uninformative all-present set protects consumers that look
-    // anyway: nothing can be eliminated from it.
-    for (unsigned r = 0; r < inner.layout().sbox_rows(); ++r) {
-      EXPECT_TRUE(o.present[r]);
+  for (const Transport transport : kTransports) {
+    SCOPED_TRACE(transport_name(transport));
+    FaultyGift64 faulty{transport, {}, key, p};
+    for (const std::uint64_t pt : test_blocks(8, 0x55)) {
+      const Observation o = faulty.observe(pt);
+      EXPECT_TRUE(o.dropped);
+      // The uninformative all-present set protects consumers that look
+      // anyway: nothing can be eliminated from it.
+      for (unsigned r = 0; r < faulty.inner().layout().sbox_rows(); ++r) {
+        EXPECT_TRUE(o.present[r]);
+      }
     }
+    EXPECT_EQ(faulty.stats().dropped, 8u);
+    // The encryption still happened: the ciphertext is the victim's.
+    Gift64Platform reference{{}, key};
+    (void)reference.observe(test_blocks(8, 0x55).back(), 0);
+    EXPECT_EQ(faulty.last_ciphertext(), reference.last_ciphertext());
   }
-  EXPECT_EQ(faulty.stats().dropped, 8u);
-  // The encryption still happened: the ciphertext is the victim's.
-  Gift64Platform reference{{}, key};
-  (void)reference.observe(test_blocks(8, 0x55).back(), 0);
-  EXPECT_EQ(faulty.last_ciphertext(), reference.last_ciphertext());
 }
 
 TEST(FaultySource, CertainFlipsSaturateTheLineSet) {
@@ -194,18 +250,19 @@ TEST(FaultySource, CertainFlipsSaturateTheLineSet) {
   evict.false_absent_rate = 1.0;
   FaultProfile inject;
   inject.false_present_rate = 1.0;
-  Gift64Platform inner_a{{}, key};
-  Gift64Platform inner_b{{}, key};
-  FaultyObservationSource<std::uint64_t> all_absent{inner_a, evict};
-  FaultyObservationSource<std::uint64_t> all_present{inner_b, inject};
   const std::uint64_t pt = test_blocks(1, 0x66)[0];
-  EXPECT_EQ(all_absent.observe(pt, 0).present.word(), 0u);
-  const Observation full = all_present.observe(pt, 0);
-  for (unsigned r = 0; r < inner_b.layout().sbox_rows(); ++r) {
-    EXPECT_TRUE(full.present[r]);
+  for (const Transport transport : kTransports) {
+    SCOPED_TRACE(transport_name(transport));
+    FaultyGift64 all_absent{transport, {}, key, evict};
+    FaultyGift64 all_present{transport, {}, key, inject};
+    EXPECT_EQ(all_absent.observe(pt).present.word(), 0u);
+    const Observation full = all_present.observe(pt);
+    for (unsigned r = 0; r < all_present.inner().layout().sbox_rows(); ++r) {
+      EXPECT_TRUE(full.present[r]);
+    }
+    EXPECT_GT(all_absent.stats().lines_flipped_absent, 0u);
+    EXPECT_GT(all_present.stats().lines_flipped_present, 0u);
   }
-  EXPECT_GT(all_absent.stats().lines_flipped_absent, 0u);
-  EXPECT_GT(all_present.stats().lines_flipped_present, 0u);
 }
 
 TEST(FaultySource, FlipsActAtCacheLineGranularity) {
@@ -214,19 +271,21 @@ TEST(FaultySource, FlipsActAtCacheLineGranularity) {
   const Key128 key = test_key(7);
   Gift64Platform::Config cfg;
   cfg.cache.line_bytes = 2;  // sbox_row_bytes = 1 -> 2 rows per line
-  Gift64Platform inner{cfg, key};
-  const std::vector<unsigned> ids = inner.index_line_ids();
   FaultProfile p;
   p.false_absent_rate = 0.4;
   p.false_present_rate = 0.4;
   p.burst_rate = 0.1;
-  FaultyObservationSource<std::uint64_t> faulty{inner, p};
-  for (const std::uint64_t pt : test_blocks(64, 0x77)) {
-    const Observation o = faulty.observe(pt, 0);
-    for (unsigned r = 1; r < inner.layout().sbox_rows(); ++r) {
-      if (ids[r] == ids[r - 1]) {
-        EXPECT_EQ(o.present[r], o.present[r - 1])
-            << "rows " << r - 1 << "/" << r << " share line " << ids[r];
+  for (const Transport transport : kTransports) {
+    SCOPED_TRACE(transport_name(transport));
+    FaultyGift64 faulty{transport, cfg, key, p};
+    const std::vector<unsigned> ids = faulty.inner().index_line_ids();
+    for (const std::uint64_t pt : test_blocks(64, 0x77)) {
+      const Observation o = faulty.observe(pt);
+      for (unsigned r = 1; r < faulty.inner().layout().sbox_rows(); ++r) {
+        if (ids[r] == ids[r - 1]) {
+          EXPECT_EQ(o.present[r], o.present[r - 1])
+              << "rows " << r - 1 << "/" << r << " share line " << ids[r];
+        }
       }
     }
   }
@@ -234,18 +293,20 @@ TEST(FaultySource, FlipsActAtCacheLineGranularity) {
 
 TEST(FaultySource, StaleReplaysThePreviousDelivery) {
   const Key128 key = test_key(8);
-  Gift64Platform inner{{}, key};
   FaultProfile p;
   p.stale_rate = 1.0;
-  FaultyObservationSource<std::uint64_t> faulty{inner, p};
   const auto pts = test_blocks(6, 0x88);
-  // The first delivery has no predecessor to replay; afterwards every
-  // observation repeats it verbatim.
-  const Observation first = faulty.observe(pts[0], 0);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_EQ(faulty.observe(pts[i], 0).present, first.present) << i;
+  for (const Transport transport : kTransports) {
+    SCOPED_TRACE(transport_name(transport));
+    FaultyGift64 faulty{transport, {}, key, p};
+    // The first delivery has no predecessor to replay; afterwards every
+    // observation repeats it verbatim.
+    const Observation first = faulty.observe(pts[0]);
+    for (std::size_t i = 1; i < pts.size(); ++i) {
+      EXPECT_EQ(faulty.observe(pts[i]).present, first.present) << i;
+    }
+    EXPECT_EQ(faulty.stats().stale, pts.size() - 1);
   }
-  EXPECT_EQ(faulty.stats().stale, pts.size() - 1);
 }
 
 // ------------------------------------------------------------------ //

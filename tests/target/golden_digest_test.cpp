@@ -10,10 +10,10 @@
 // that moved any RNG draw, elimination decision or result field breaks a
 // digest here.
 //
-// Campaign records are deliberately not folded: they carry the cache
-// kernel's name, which a forced GRINCH_KERNEL changes.  Wall-clock and
-// floating-point fields (finisher wall_seconds, residual and search-space
-// bits) stay out too.
+// Campaign records are not folded: they serialise these same results,
+// and the campaign suites byte-compare them across thread counts and
+// resumes.  Wall-clock and floating-point fields (finisher wall_seconds,
+// residual and search-space bits) stay out too.
 #include <gtest/gtest.h>
 
 #include <array>

@@ -6,12 +6,13 @@
 // DirectProbePlatform::observe() sequence — through the presence-bitmap
 // shortcut where it applies and through the per-lane scalar lanes
 // everywhere else (tripped capacity test, non-contiguous monitored lines,
-// FIFO/PLRU/Random, prefetchers), under every kernel and across a sweep
-// of line sizes, row strides, associativities, flush modes and probing
-// rounds.  The multi-trial engine layered on it must be width-invariant:
-// WideRecoveryEngine runs N independent trials in lockstep and each lane
-// equals the scalar recover_key() run with that trial's seeds, for any
-// shard width (runner::make_wide_shards) and any thread count.
+// FIFO/PLRU/Random, prefetchers), at every batch width and across a
+// sweep of line sizes, row strides, set counts, associativities, flush
+// modes and probing rounds.  The multi-trial engine layered on it must
+// be width-invariant: WideRecoveryEngine runs N independent trials in
+// lockstep and each lane equals the scalar recover_key() run with that
+// trial's seeds, for any shard width (runner::make_wide_shards) and any
+// thread count.
 #include "target/wide_engine.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "cachesim/kernels/kernels.h"
 #include "common/rng.h"
 #include "runner/thread_pool.h"
 #include "runner/trial_runner.h"
@@ -204,9 +204,12 @@ TYPED_TEST(WideConformance, ObserveWideBitIdenticalToScalar) {
   // across stages 0-2, so later runs meet warm backing lanes.  The paper
   // default is swept over widths; the config sweep covers coarse lines
   // (line_bytes > 1), deeper probes (probing round > 1), shallow caches
-  // where the shortcut's capacity test trips, and a two-byte row stride
+  // where the shortcut's capacity test trips, a two-byte row stride
   // whose monitored lines are not contiguous at one-byte lines (the
-  // shortcut never engages there).
+  // shortcut never engages there), and tight geometries: few sets, with
+  // ways just above the window's per-set load, where each monitored set
+  // holds several monitored lines and the capacity test's probe-fill
+  // term decides whether the shortcut may serve a job.
   using Recovery = TypeParam;
   using Block = typename Recovery::Block;
   using Core = WideObserveCore<Recovery>;
@@ -228,14 +231,24 @@ TYPED_TEST(WideConformance, ObserveWideBitIdenticalToScalar) {
       }
     }
   }
+  struct Geometry {
+    unsigned sets;
+    unsigned ways;
+  };
+  // The paper's 64 sets, then tight geometries sized for a 32-access
+  // round (GIFT-64, PRESENT-80) and for GIFT-128's 64-access round.
+  constexpr Geometry kGeometries[] = {{64, 2}, {64, 4}, {64, 16}, {8, 17},
+                                      {4, 17}, {4, 19}, {2, 19},  {2, 23},
+                                      {8, 33}, {4, 33}, {4, 34}};
   Xoshiro256 rng{0x5EE9};
   for (const unsigned line_bytes : {1u, 2u, 4u, 8u}) {
     for (const unsigned row_bytes : {1u, 2u}) {
-      for (const unsigned ways : {2u, 4u, 16u}) {
+      for (const auto [sets, ways] : kGeometries) {
         for (const bool flush : {true, false}) {
           for (const unsigned probing_round : {1u, 2u, 5u}) {
             typename DirectProbePlatform<Recovery>::Config pconfig;
             pconfig.cache.line_bytes = line_bytes;
+            pconfig.cache.num_sets = sets;
             pconfig.cache.associativity = ways;
             pconfig.layout.sbox_row_bytes = row_bytes;
             pconfig.use_flush = flush;
@@ -248,7 +261,8 @@ TYPED_TEST(WideConformance, ObserveWideBitIdenticalToScalar) {
               this->expect_run_matches_scalar(
                   core, scalar, pconfig, key, stage, pts,
                   "line " + std::to_string(line_bytes) + " row " +
-                      std::to_string(row_bytes) + " ways " +
+                      std::to_string(row_bytes) + " sets " +
+                      std::to_string(sets) + " ways " +
                       std::to_string(ways) + " flush " +
                       std::to_string(flush) + " round " +
                       std::to_string(probing_round) + " stage " +
@@ -317,35 +331,21 @@ TYPED_TEST(WideConformance, ObserveWideFallsBackOnUnsupportedConfig) {
   }
 }
 
-std::vector<cachesim::kernels::Kind> available_kernels() {
-  using cachesim::kernels::Kind;
-  std::vector<Kind> kinds;
-  for (const Kind k : {Kind::kGeneric, Kind::kSwar, Kind::kAvx2}) {
-    if (cachesim::kernels::available(k)) kinds.push_back(k);
-  }
-  return kinds;
-}
-
-TYPED_TEST(WideConformance, ObserveWideBitIdenticalUnderEveryKernel) {
-  // The dispatch contract end to end: every compiled-in-and-executable
-  // kernel must reproduce the scalar pipeline bit for bit through the
-  // bulk transpose and the column gather on extract().
+TYPED_TEST(WideConformance, ObserveWideBitIdenticalAtEveryWidth) {
+  // Every lane of a batch, from one lane to all 64, must extract the
+  // scalar pipeline's observation bit for bit.
   using Recovery = TypeParam;
   const Key128 key = this->victim_key(0x60);
   const typename DirectProbePlatform<Recovery>::Config pconfig;
   DirectProbePlatform<Recovery> scalar{pconfig, key};
-  for (const cachesim::kernels::Kind kind : available_kernels()) {
-    cachesim::kernels::ScopedKernel scope{kind};
-    WideObserveCore<Recovery> core{pconfig.cache, pconfig.layout};
-    Xoshiro256 rng{0x5EE6};  // identical plaintexts for every kernel
-    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{16}, std::size_t{63},
-                                    std::size_t{64}}) {
-      this->expect_run_matches_scalar(
-          core, scalar, pconfig, key, 0, this->random_blocks(rng, width),
-          std::string{cachesim::kernels::active().name} + " width " +
-              std::to_string(width));
-    }
+  WideObserveCore<Recovery> core{pconfig.cache, pconfig.layout};
+  Xoshiro256 rng{0x5EE6};
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{16}, std::size_t{63},
+                                  std::size_t{64}}) {
+    this->expect_run_matches_scalar(core, scalar, pconfig, key, 0,
+                                    this->random_blocks(rng, width),
+                                    "width " + std::to_string(width));
   }
 }
 

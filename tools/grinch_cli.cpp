@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "attack/grinch.h"
-#include "cachesim/kernels/kernels.h"
 #include "campaign/engine.h"
 #include "campaign/sigint.h"
 #include "campaign/spec.h"
@@ -126,8 +125,13 @@ int cmd_crypt(const Args& args, bool encrypt) {
       std::fprintf(stderr, "gift128 needs a 32-hex-digit block\n");
       return 2;
     }
-    const gift::State128 in{parse_hex_u64(block_hex.substr(0, 16)).value(),
-                            parse_hex_u64(block_hex.substr(16)).value()};
+    const auto hi = parse_hex_u64(block_hex.substr(0, 16));
+    const auto lo = parse_hex_u64(block_hex.substr(16));
+    if (!hi || !lo) {
+      std::fprintf(stderr, "bad block (need 32 hex digits)\n");
+      return 2;
+    }
+    const gift::State128 in{*hi, *lo};
     const gift::State128 out = encrypt ? gift::Gift128::encrypt(in, key)
                                        : gift::Gift128::decrypt(in, key);
     std::printf("%s%s\n", to_hex_u64(out.hi).c_str(),
@@ -235,11 +239,6 @@ void apply_finish_args(const Args& args, Config& cfg) {
       args.get_u64("finish-budget", cfg.finish_max_candidates);
 }
 
-void print_engine_header() {
-  std::printf("engine:        scalar (kernel %s)\n",
-              cachesim::kernels::active().name);
-}
-
 /// Writes the machine-readable run report for --json PATH.  Every record
 /// is self-describing: it names the fault profile that produced it, so a
 /// report sliced out of a batch still says what ran.
@@ -257,8 +256,6 @@ void write_json_report(const std::string& path, const char* command,
   std::fprintf(f, "  \"command\": \"%s\",\n", command);
   std::fprintf(f, "  \"victim_key\": \"%s\",\n", victim.to_hex().c_str());
   std::fprintf(f, "  \"fault_profile\": \"%s\",\n", fault_profile.c_str());
-  std::fprintf(f, "  \"kernel\": \"%s\",\n",
-               cachesim::kernels::active().name);
   std::fprintf(f, "  \"success\": %s,\n", r.success ? "true" : "false");
   std::fprintf(f, "  \"exact_match\": %s,\n",
                r.success && r.recovered_key == victim ? "true" : "false");
@@ -342,7 +339,6 @@ int cmd_attack128(const Args& args) {
   apply_finish_args(args, cfg);
   const auto r = target::recover_key<target::Gift128Recovery>(key, cfg);
   std::printf("victim key:    %s\n", key.to_hex().c_str());
-  print_engine_header();
   std::printf("encryptions:   %llu (stages %llu + %llu)\n",
               static_cast<unsigned long long>(r.total_encryptions),
               static_cast<unsigned long long>(r.stage_encryptions[0]),
@@ -371,7 +367,6 @@ int cmd_attack_present(const Args& args) {
   apply_finish_args(args, cfg);
   const auto r = target::recover_key<target::Present80Recovery>(key, cfg);
   std::printf("victim key (80-bit): %s\n", key.to_hex().c_str());
-  print_engine_header();
   std::printf("monitored encryptions: %llu; offline search: 2^16\n",
               static_cast<unsigned long long>(r.total_encryptions));
   print_noise_report(r);
@@ -527,7 +522,6 @@ int cmd_campaign(const Args& args) {
       std::printf("campaign:        %s (%s)\n", spec->name.c_str(),
                   spec->cipher.c_str());
       std::printf("spec:            %s\n", ckpt->spec.c_str());
-      std::printf("kernel:          %s\n", ckpt->kernel.c_str());
       campaign::Outcome out;
       out.shards_done = static_cast<std::size_t>(ckpt->flushed_shards);
       out.shard_total = static_cast<std::size_t>(ckpt->shard_total);
