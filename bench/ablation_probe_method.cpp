@@ -15,10 +15,11 @@
 #include "bench_util.h"
 
 using namespace grinch;
+using target::ProbeMethod;
 
 namespace {
 
-bench::CellSpec make_cell(soc::ProbeMethod method, bool exploit_all,
+bench::CellSpec make_cell(ProbeMethod method, bool exploit_all,
                           unsigned trials, std::uint64_t budget,
                           std::uint64_t seed, bool trace = false) {
   bench::CellSpec spec;
@@ -52,11 +53,11 @@ int main(int argc, char** argv) {
       "Flush+Reload + trace channel (ref [10], ours)",
   };
   const std::vector<bench::CellSpec> specs{
-      make_cell(soc::ProbeMethod::kFlushReload, false, trials, budget, 0xAB1),
-      make_cell(soc::ProbeMethod::kPrimeProbe, false, trials, budget, 0xAB2),
-      make_cell(soc::ProbeMethod::kFlushReload, true, trials, budget, 0xAB3),
-      make_cell(soc::ProbeMethod::kPrimeProbe, true, trials, budget, 0xAB4),
-      make_cell(soc::ProbeMethod::kFlushReload, false, trials, budget, 0xAB5,
+      make_cell(ProbeMethod::kFlushReload, false, trials, budget, 0xAB1),
+      make_cell(ProbeMethod::kPrimeProbe, false, trials, budget, 0xAB2),
+      make_cell(ProbeMethod::kFlushReload, true, trials, budget, 0xAB3),
+      make_cell(ProbeMethod::kPrimeProbe, true, trials, budget, 0xAB4),
+      make_cell(ProbeMethod::kFlushReload, false, trials, budget, 0xAB5,
                 /*trace=*/true),
   };
   const std::vector<bench::CellResult> cells =

@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
         Outcome& o = outcomes[channel][t];
         if (channel < 2) {
           const bool trace = channel == 1;
-          soc::DirectProbePlatform::Config pcfg;
+          target::Gift64Platform::Config pcfg;
           pcfg.capture_trace = trace;
-          soc::DirectProbePlatform platform{pcfg, ts.key};
+          target::Gift64Platform platform{pcfg, ts.key};
           attack::GrinchConfig acfg;
           acfg.stages = 1;
           acfg.seed = ts.seed;

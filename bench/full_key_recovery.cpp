@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
   const std::vector<TrialOutcome> outcomes = run.map<TrialOutcome>(
       kTrials, [&](std::size_t t) {
         const runner::TrialSeed& ts = seeds[t];
-        soc::DirectProbePlatform platform{soc::DirectProbePlatform::Config{},
-                                          ts.key};
+        target::Gift64Platform platform{{}, ts.key};
         attack::GrinchConfig cfg;
         cfg.seed = ts.seed;
         attack::GrinchAttack attack{platform, cfg};

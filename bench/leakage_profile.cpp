@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
       n_cells, [&](std::size_t i) {
         const unsigned words = word_sizes[i / kMaxRound];
         const unsigned k = static_cast<unsigned>(i % kMaxRound) + 1;
-        soc::DirectProbePlatform::Config cfg;
+        target::Gift64Platform::Config cfg;
         cfg.cache.line_bytes = words;
         cfg.probing_round = k;
-        soc::DirectProbePlatform platform{cfg, seeds[i].key};
+        target::Gift64Platform platform{cfg, seeds[i].key};
         const auto line_ids = platform.index_line_ids();
         unsigned total_lines = 0;
         for (unsigned id : line_ids)
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         double present_sum = 0;
         Xoshiro256 pts{seeds[i].seed};
         for (unsigned e = 0; e < kEncryptions; ++e) {
-          const soc::Observation obs = platform.observe(pts.block64(), 0);
+          const target::Observation obs = platform.observe(pts.block64(), 0);
           std::vector<bool> line_seen(total_lines, false);
           for (unsigned idx = 0; idx < 16; ++idx) {
             if (obs.present[idx]) line_seen[line_ids[idx]] = true;

@@ -26,9 +26,9 @@
 #include "noc/network.h"
 #include "present/present.h"
 #include "runner/trial_runner.h"
-#include "soc/platform.h"
 #include "target/gift64_recovery.h"
 #include "target/platform.h"
+#include "target/registry.h"
 #include "target/wide_engine.h"
 #include "target/wide_observe.h"
 
@@ -130,8 +130,7 @@ BENCHMARK(BM_NocSend);
 
 void BM_ObserveOneEncryption(benchmark::State& state) {
   Xoshiro256 rng{7};
-  soc::DirectProbePlatform platform{soc::DirectProbePlatform::Config{},
-                                    rng.key128()};
+  target::Gift64Platform platform{{}, rng.key128()};
   for (auto _ : state) {
     benchmark::DoNotOptimize(platform.observe(rng.block64(), 0));
   }
@@ -223,8 +222,7 @@ void BM_FullFirstRoundAttack(benchmark::State& state) {
   Xoshiro256 rng{8};
   for (auto _ : state) {
     const Key128 key = rng.key128();
-    soc::DirectProbePlatform platform{soc::DirectProbePlatform::Config{},
-                                      key};
+    target::Gift64Platform platform{{}, key};
     attack::GrinchConfig cfg;
     cfg.stages = 1;
     cfg.seed = rng.next();

@@ -266,8 +266,8 @@ void sweep_cipher(bench::BenchContext& ctx, unsigned trials,
   ctx.print_table(table);
   ctx.set_metric(Recovery::kName, std::move(metrics));
 
-  // False-absent ramp: the axis the soc platforms' cache-level noise knob
-  // (noise_accesses_per_round) maps onto.
+  // False-absent ramp: the axis the direct-probe platform's cache-level
+  // noise option (noise_accesses_per_round) maps onto.
   AsciiTable ramp{std::string{Recovery::kName} +
                   " cost vs false-absent rate (vote 2)"};
   ramp.set_header(

@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "soc/platform.h"
 
 using namespace grinch;
 

@@ -9,7 +9,7 @@
 #include "attack/grinch.h"
 #include "attack/target_bits.h"
 #include "common/rng.h"
-#include "soc/platform.h"
+#include "target/registry.h"
 
 using namespace grinch;
 
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   // The platform: shared L1 (1024 lines, 16-way, 1-word lines), table-
   // based GIFT victim, Flush+Reload attacker, probe right after the
   // monitored round.
-  soc::DirectProbePlatform::Config pcfg;
-  soc::DirectProbePlatform platform{pcfg, victim_key};
+  target::Gift64Platform::Config pcfg;
+  target::Gift64Platform platform{pcfg, victim_key};
   std::printf("platform: %s\n\n", pcfg.cache.describe().c_str());
 
   attack::GrinchConfig acfg;

@@ -42,7 +42,7 @@ int main() {
   soc::SingleCoreSoC::Config cfg;
   cfg.rtos.clock_mhz = 10.0;
   soc::SingleCoreSoC soc{cfg, victim_key};
-  const soc::Observation obs = soc.observe(rng.block64(), 0);
+  const target::Observation obs = soc.observe(rng.block64(), 0);
   std::printf("one monitored encryption at 10 MHz: probe covered %u rounds; "
               "S-Box lines present: ",
               obs.probed_after_round);

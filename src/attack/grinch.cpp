@@ -15,12 +15,16 @@
 
 namespace grinch::attack {
 
-GrinchAttack::GrinchAttack(soc::ObservationSource& source,
+GrinchAttack::GrinchAttack(target::ObservationSource<std::uint64_t>& source,
                            const GrinchConfig& config)
     : source_(&source),
       config_(config),
       rng_(config.seed),
-      line_ids_(source.index_line_ids()) {}
+      line_ids_(source.index_line_ids()) {
+  // stage_state_ holds one entry per stage plus the round after the last
+  // one, which a four-stage attack's cross-round solver constrains.
+  assert(config.stages >= 1 && config.stages <= 4);
+}
 
 unsigned GrinchAttack::line_hidden_mask() const {
   // Lines hold 16 / distinct-line-count consecutive indices; the low
@@ -184,7 +188,7 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
     // Step 2 — one monitored encryption + probe (precision-probing
     // platforms time their probe to the focused segment's access).
     source_->focus_segment(target_segment);
-    const soc::Observation obs = source_->observe(plaintext, stage);
+    const target::Observation obs = source_->observe(plaintext, stage);
     ++encryptions_used_;
     ++report.encryptions;
     report.attacker_cycles += obs.attacker_cycles;

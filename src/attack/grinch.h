@@ -29,13 +29,15 @@
 
 #include "attack/eliminator.h"
 #include "common/key128.h"
+#include "common/rng.h"
 #include "gift/key_schedule.h"
-#include "soc/platform.h"
+#include "target/observation.h"
 
 namespace grinch::attack {
 
 struct GrinchConfig {
-  /// Stages to run (4 = full key; 1 = Fig. 3's "break 1st GIFT round").
+  /// Stages to run, 1..4 (4 = full key; 1 = Fig. 3's "break 1st GIFT
+  /// round").  A precondition: GrinchAttack asserts it.
   unsigned stages = 4;
   /// Total encryption budget; exceeding it marks the attack as a
   /// drop-out — the paper's ">1M" cells.
@@ -109,7 +111,9 @@ struct AttackResult {
 
 class GrinchAttack {
  public:
-  GrinchAttack(soc::ObservationSource& source, const GrinchConfig& config);
+  /// Attacks a GIFT-64 victim through `source`; config.stages is in 1..4.
+  GrinchAttack(target::ObservationSource<std::uint64_t>& source,
+               const GrinchConfig& config);
 
   /// Runs the configured stages (plus cleanup when needed), assembles and
   /// verifies the master key when stages == 4.
@@ -146,7 +150,7 @@ class GrinchAttack {
   [[nodiscard]] gift::RoundKey64 best_guess_round_key(
       const std::array<CandidateSet, 16>& masks) const;
 
-  soc::ObservationSource* source_;
+  target::ObservationSource<std::uint64_t>* source_;
   GrinchConfig config_;
   Xoshiro256 rng_;
   std::vector<unsigned> line_ids_;

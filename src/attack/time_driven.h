@@ -30,10 +30,11 @@
 #include <array>
 #include <cstdint>
 
+#include "cachesim/cache.h"
 #include "common/key128.h"
 #include "common/rng.h"
 #include "gift/key_schedule.h"
-#include "soc/platform.h"
+#include "gift/table_gift.h"
 
 namespace grinch::attack {
 
@@ -72,7 +73,7 @@ struct TimeDrivenResult {
 };
 
 /// Timing oracle: runs one full victim encryption and returns its
-/// duration in cycles.  The DirectProbePlatform-based implementation
+/// duration in cycles.  The soc::VictimProcess-based implementation
 /// lives in time_driven.cpp; tests may supply their own.
 class TimingOracle {
  public:

@@ -3,7 +3,7 @@
 #include "countermeasures/hardened_schedule.h"
 #include "countermeasures/packed_sbox.h"
 #include "gift/bitslice.h"
-#include "soc/platform.h"
+#include "target/registry.h"
 
 namespace grinch::cm {
 namespace {
@@ -11,14 +11,16 @@ namespace {
 /// Platform whose victim is the constant-time bitsliced implementation:
 /// it issues NO table accesses, so every probe finds every monitored
 /// line absent — the attack starves.
-class ConstantTimePlatform final : public soc::ObservationSource {
+class ConstantTimePlatform final
+    : public target::ObservationSource<std::uint64_t> {
  public:
   explicit ConstantTimePlatform(const Key128& victim_key)
       : key_(victim_key) {}
 
-  soc::Observation observe(std::uint64_t plaintext, unsigned stage) override {
+  target::Observation observe(std::uint64_t plaintext,
+                              unsigned stage) override {
     (void)stage;
-    soc::Observation o;
+    target::Observation o;
     o.present.assign(16, false);  // nothing to observe, ever
     o.probed_after_round = 28;
     last_ciphertext_ = cipher_.encrypt(plaintext, key_);
@@ -38,7 +40,8 @@ class ConstantTimePlatform final : public soc::ObservationSource {
   Key128 key_;
   gift::TableLayout layout_;
   gift::BitslicedGift64 cipher_;
-  std::vector<unsigned> line_ids_ = soc::compute_index_line_ids(layout_, 1);
+  std::vector<unsigned> line_ids_ =
+      target::compute_index_line_ids(layout_, 1);
   std::uint64_t last_ciphertext_ = 0;
 };
 
@@ -59,33 +62,28 @@ EvaluationResult evaluate_protection(Protection protection,
                                      const Key128& victim_key,
                                      std::uint64_t budget,
                                      std::uint64_t seed) {
-  soc::DirectProbePlatform::Config cfg;
+  target::Gift64Platform::Config cfg;
   cfg.probing_round = 1;
   cfg.use_flush = true;
-
-  switch (protection) {
-    case Protection::kNone:
-    case Protection::kConstantTime:
-      break;
-    case Protection::kPackedSBox:
-      cfg.layout = packed_sbox_layout();
-      cfg.cache = packed_sbox_cache();
-      break;
-    case Protection::kHardenedSchedule:
-      cfg.round_key_provider = hardened_provider();
-      break;
-    case Protection::kBoth:
-      cfg.layout = packed_sbox_layout();
-      cfg.cache = packed_sbox_cache();
-      cfg.round_key_provider = hardened_provider();
-      break;
+  const bool packed = protection == Protection::kPackedSBox ||
+                      protection == Protection::kBoth;
+  const bool hardened = protection == Protection::kHardenedSchedule ||
+                        protection == Protection::kBoth;
+  if (packed) {
+    cfg.layout = packed_sbox_layout();
+    cfg.cache = packed_sbox_cache();
   }
 
-  soc::DirectProbePlatform table_platform{cfg, victim_key};
+  // The hardened victim encrypts with its whitened round keys.
+  const gift::TableGift64::Schedule round_keys =
+      hardened ? hardened_round_keys(victim_key, gift::Gift64::kRounds)
+               : gift::standard_round_keys(victim_key, gift::Gift64::kRounds);
+  target::Gift64Platform table_platform{cfg, round_keys};
   ConstantTimePlatform ct_platform{victim_key};
-  soc::ObservationSource& platform =
+  target::ObservationSource<std::uint64_t>& platform =
       protection == Protection::kConstantTime
-          ? static_cast<soc::ObservationSource&>(ct_platform)
+          ? static_cast<target::ObservationSource<std::uint64_t>&>(
+                ct_platform)
           : table_platform;
   attack::GrinchConfig acfg;
   acfg.seed = seed;

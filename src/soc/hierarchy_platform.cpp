@@ -11,8 +11,8 @@ HierarchyPlatform::HierarchyPlatform(const Config& config,
       hierarchy_(config.hierarchy),
       cipher_(config.layout),
       schedule_(cipher_.make_schedule(victim_key)),
-      line_ids_(compute_index_line_ids(config.layout,
-                                       config.hierarchy.l1.line_bytes)) {}
+      line_ids_(target::compute_index_line_ids(
+          config.layout, config.hierarchy.l1.line_bytes)) {}
 
 std::vector<unsigned> HierarchyPlatform::index_line_ids() const {
   return line_ids_;
@@ -52,27 +52,9 @@ std::uint64_t HierarchyPlatform::reload_threshold() const noexcept {
                    2;
 }
 
-Observation HierarchyPlatform::observe(std::uint64_t plaintext,
-                                       unsigned stage) {
-  return observe_at(plaintext, stage + 1 + config_.probing_round,
-                    reload_threshold());
-}
-
-void HierarchyPlatform::observe_batch(std::span<const std::uint64_t>
-                                          plaintexts,
-                                      unsigned stage,
-                                      target::ObservationBatch& out) {
+target::Observation HierarchyPlatform::observe(std::uint64_t plaintext,
+                                               unsigned stage) {
   const unsigned probe_after = stage + 1 + config_.probing_round;
-  const std::uint64_t threshold = reload_threshold();
-  out.resize(plaintexts.size());
-  for (std::size_t i = 0; i < plaintexts.size(); ++i) {
-    out[i] = observe_at(plaintexts[i], probe_after, threshold);
-  }
-}
-
-Observation HierarchyPlatform::observe_at(std::uint64_t plaintext,
-                                          unsigned probe_after,
-                                          std::uint64_t threshold) {
   // The probe consumes accesses only up to probe_after, so the victim
   // emits just that prefix of rounds (the full ciphertext completes
   // lazily in last_ciphertext()); the reused sink stops allocating after
@@ -101,7 +83,8 @@ Observation HierarchyPlatform::observe_at(std::uint64_t plaintext,
 
   // Reload in descending order (anti-prefetch hygiene, as in the flat
   // prober).
-  Observation o;
+  const std::uint64_t threshold = reload_threshold();
+  target::Observation o;
   o.present.assign(16, false);
   o.probed_after_round = probe_after;
   for (unsigned index = 16; index-- > 0;) {

@@ -16,19 +16,19 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cachesim/hierarchy.h"
 #include "common/key128.h"
 #include "gift/table_gift.h"
-#include "soc/platform.h"
+#include "target/observation.h"
 
 namespace grinch::soc {
 
 enum class FlushCapability : std::uint8_t { kClflush, kL1EvictOnly };
 
-class HierarchyPlatform final : public ObservationSource {
+class HierarchyPlatform final
+    : public target::ObservationSource<std::uint64_t> {
  public:
   struct Config {
     cachesim::HierarchyConfig hierarchy;  ///< caller sets l1/l2/dram
@@ -49,12 +49,8 @@ class HierarchyPlatform final : public ObservationSource {
 
   HierarchyPlatform(const Config& config, const Key128& victim_key);
 
-  Observation observe(std::uint64_t plaintext, unsigned stage) override;
-  /// Batched variant: the probe depth and reload threshold depend only on
-  /// the stage/config, so they are derived once per batch; each element
-  /// then runs the scalar pipeline (bit-identical to observe() calls).
-  void observe_batch(std::span<const std::uint64_t> plaintexts, unsigned stage,
-                     target::ObservationBatch& out) override;
+  target::Observation observe(std::uint64_t plaintext,
+                              unsigned stage) override;
   [[nodiscard]] const gift::TableLayout& layout() const override {
     return config_.layout;
   }
@@ -71,9 +67,6 @@ class HierarchyPlatform final : public ObservationSource {
 
   /// Reload-latency cutoff separating "victim touched it" from cold.
   [[nodiscard]] std::uint64_t reload_threshold() const noexcept;
-
-  Observation observe_at(std::uint64_t plaintext, unsigned probe_after,
-                         std::uint64_t threshold);
 
   Config config_;
   Key128 key_;

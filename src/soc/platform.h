@@ -1,138 +1,36 @@
-// Hardware platforms the GRINCH attack runs against.
+// SoC platforms the GRINCH attack runs against (experiment 3, Table II).
 //
-// Three observation sources, all producing the same Observation shape:
+// Both produce the generic target::Observation shape; the RTL-simulation
+// setting of experiments 1-2 (Fig. 3, Table I), whose probe moment is a
+// parameter, is target::DirectProbePlatform (target/platform.h).
 //
-//  * DirectProbePlatform — the RTL-simulation setting of experiments 1-2
-//    (Fig. 3, Table I): the probe moment is a *parameter* ("cache probing
-//    round"), letting the harness sweep it cleanly.
-//  * SingleCoreSoC      — experiment 3's first platform: victim and
-//    attacker share one core under an RTOS quantum scheduler; the probe
-//    moment *emerges* from scheduling and clock frequency.
-//  * MpSoc              — experiment 3's second platform: a 3x3 mesh NoC
-//    with the attacker on its own tile probing the shared cache remotely;
+//  * SingleCoreSoC — experiment 3's first platform: victim and attacker
+//    share one core under an RTOS quantum scheduler; the probe moment
+//    *emerges* from scheduling and clock frequency.
+//  * MpSoc         — experiment 3's second platform: a 3x3 mesh NoC with
+//    the attacker on its own tile probing the shared cache remotely;
 //    probing is limited only by NoC round-trips (~400 ns), so the probe
 //    lands in round 1.
-//
-// Probing-round semantics (documented also in DESIGN.md): "probing round
-// k" for an attack stage `s` (0-based; stage s monitors the S-Box
-// accesses of 0-based cipher round s+1) means the probe observes the
-// cache after cipher rounds 0 .. s+k have executed.  With flush enabled
-// the attacker flushes the monitored lines right before round s+1, so
-// the observation contains rounds s+1 .. s+k only; without it, "dirty"
-// accesses from all earlier rounds (including the key-independent round
-// 0) pollute the observation — exactly the Fig. 3 comparison.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "cachesim/cache.h"
 #include "common/key128.h"
 #include "gift/table_gift.h"
 #include "noc/network.h"
-#include "soc/prober.h"
 #include "soc/scheduler.h"
 #include "soc/victim.h"
-#include "target/fault_model.h"
 #include "target/observation.h"
+#include "target/prober.h"
 
 namespace grinch::soc {
 
-// Observation vocabulary moved to the cipher-agnostic target layer
-// (src/target/observation.h); the soc names stay as aliases.  GIFT-64's
-// 64-bit block makes soc::ObservationSource the uint64_t instantiation of
-// the generic interface — the same one the PRESENT-80 target uses, so one
-// attack engine can drive either.
-using Observation = target::Observation;
-using ProbeMethod = target::ProbeMethod;
-using ObservationSource = target::ObservationSource<std::uint64_t>;
-using target::compute_index_line_ids;
-
-// ------------------------------------------------------------------------
-
-/// RTL-simulation style platform with a parameterised probe moment.
-class DirectProbePlatform final : public ObservationSource {
- public:
-  struct Config {
-    cachesim::CacheConfig cache = cachesim::CacheConfig::paper_default();
-    gift::TableLayout layout;
-    VictimCostModel cost;  ///< unit-scale costs; timing is not the point here
-    unsigned probing_round = 1;  ///< k in the semantics above (>= 1)
-    bool use_flush = true;
-    ProbeMethod method = ProbeMethod::kFlushReload;
-    /// Victim round-key derivation; null = standard GIFT schedule.  The
-    /// hardened-UpdateKey countermeasure substitutes its provider here.
-    gift::TableGift64::RoundKeyProvider round_key_provider;
-    /// §III-D precision probing: probe immediately after the *focused*
-    /// segment's S-Box access inside the monitored round, instead of at a
-    /// round boundary.  Overrides probing_round.
-    bool precise_probe = false;
-    /// Trace-driven channel: also report the monitored round's per-access
-    /// hit/miss sequence (models the power side-channel of the paper's
-    /// ref [10]).  Requires use_flush.
-    bool capture_trace = false;
-    /// Noise model: random third-party accesses injected per executed
-    /// victim round, drawn uniformly from target::NoiseAddressSpace —
-    /// the documented region above every victim table and below the
-    /// Prime+Probe eviction sets that aliases all monitored cache sets.
-    /// This is the cache-level *mechanism* behind the channel-level
-    /// false-absent fault mode (target/fault_model.h): noise can evict
-    /// monitored lines but never fake a presence.  For the other fault
-    /// modes (false presents, drops, stale reads, bursts) wrap the
-    /// platform in a target::FaultyObservationSource instead.
-    unsigned noise_accesses_per_round = 0;
-    std::uint64_t noise_seed = 0xA05E;
-  };
-
-  DirectProbePlatform(const Config& config, const Key128& victim_key);
-
-  Observation observe(std::uint64_t plaintext, unsigned stage) override;
-  /// Batched variant of the generic contract: the per-stage probe plan
-  /// (how many victim rounds the observation needs) is derived once for
-  /// the whole batch, then each element runs the scalar pipeline, so
-  /// results are bit-identical to per-element observe() calls.
-  void observe_batch(std::span<const std::uint64_t> plaintexts, unsigned stage,
-                     target::ObservationBatch& out) override;
-  void focus_segment(unsigned segment) override { focus_ = segment & 0xF; }
-  [[nodiscard]] const gift::TableLayout& layout() const override {
-    return config_.layout;
-  }
-  [[nodiscard]] std::vector<unsigned> index_line_ids() const override;
-  [[nodiscard]] std::uint64_t last_ciphertext() const override;
-
-  [[nodiscard]] cachesim::Cache& cache() noexcept { return cache_; }
-  [[nodiscard]] const Key128& victim_key() const noexcept { return key_; }
-
- private:
-  /// Injects the configured per-round noise traffic into the cache.
-  void inject_noise();
-
-  /// Victim rounds an observation of `stage` actually needs (partial-round
-  /// fast path; clamped to the cipher's round count).
-  [[nodiscard]] unsigned rounds_needed(unsigned stage) const noexcept;
-
-  Observation observe_with_rounds(std::uint64_t plaintext, unsigned stage,
-                                  unsigned want_rounds);
-
-  Config config_;
-  Key128 key_;
-  cachesim::Cache cache_;
-  gift::TableGift64 cipher_;
-  /// Reused across observe() calls (begin_encryption resets it); its trace
-  /// and sink buffers then stop allocating after the first encryption.
-  VictimProcess victim_;
-  std::unique_ptr<CacheProber> prober_;
-  Xoshiro256 noise_rng_;
-  unsigned focus_ = 0;
-  std::vector<unsigned> line_ids_;  ///< computed once at construction
-};
-
-// ------------------------------------------------------------------------
-
 /// Single-core SoC: victim + attacker share the core under the RTOS.
-class SingleCoreSoC final : public ObservationSource {
+class SingleCoreSoC final
+    : public target::ObservationSource<std::uint64_t> {
  public:
   struct Config {
     cachesim::CacheConfig cache = cachesim::CacheConfig::paper_default();
@@ -140,7 +38,7 @@ class SingleCoreSoC final : public ObservationSource {
     RtosConfig rtos;
     VictimCostModel cost = VictimCostModel::paper_calibrated();
     bool use_flush = true;
-    ProbeMethod method = ProbeMethod::kFlushReload;
+    target::ProbeMethod method = target::ProbeMethod::kFlushReload;
   };
 
   SingleCoreSoC(const Config& config, const Key128& victim_key);
@@ -149,7 +47,8 @@ class SingleCoreSoC final : public ObservationSource {
   /// the "attack efficiency (rounds)" number of Table II.
   [[nodiscard]] unsigned first_probe_round();
 
-  Observation observe(std::uint64_t plaintext, unsigned stage) override;
+  target::Observation observe(std::uint64_t plaintext,
+                              unsigned stage) override;
   [[nodiscard]] const gift::TableLayout& layout() const override {
     return config_.layout;
   }
@@ -165,7 +64,7 @@ class SingleCoreSoC final : public ObservationSource {
   gift::TableGift64 cipher_;
   VictimProcess victim_;  ///< reused across observe()/measurement calls
   RtosScheduler scheduler_;
-  std::unique_ptr<CacheProber> prober_;
+  std::unique_ptr<target::CacheProber> prober_;
   std::vector<unsigned> line_ids_;  ///< computed once at construction
   /// Lazy full ciphertext of the last observed encryption (the victim
   /// buffer is also reused by measurement helpers, so the pair is kept
@@ -178,7 +77,7 @@ class SingleCoreSoC final : public ObservationSource {
 // ------------------------------------------------------------------------
 
 /// Tile-based MPSoC: 3x3 mesh, victim / attacker / shared-cache tiles.
-class MpSoc final : public ObservationSource {
+class MpSoc final : public target::ObservationSource<std::uint64_t> {
  public:
   struct Config {
     cachesim::CacheConfig cache = cachesim::CacheConfig::paper_default();
@@ -212,7 +111,8 @@ class MpSoc final : public ObservationSource {
   /// sequence is faster than a round (Table II's MPSoC row).
   [[nodiscard]] unsigned first_probe_round();
 
-  Observation observe(std::uint64_t plaintext, unsigned stage) override;
+  target::Observation observe(std::uint64_t plaintext,
+                              unsigned stage) override;
   [[nodiscard]] const gift::TableLayout& layout() const override {
     return config_.layout;
   }
@@ -229,7 +129,7 @@ class MpSoc final : public ObservationSource {
   cachesim::Cache cache_;
   gift::TableGift64 cipher_;
   VictimProcess victim_;  ///< reused across observe()/measurement calls
-  FlushReloadProber prober_;
+  target::FlushReloadProber prober_;
   std::vector<unsigned> line_ids_;  ///< computed once at construction
   /// Lazy full ciphertext of the last observed encryption (see
   /// SingleCoreSoC; the victim buffer is shared with first_probe_round).

@@ -73,12 +73,6 @@ void VictimProcess::step() {
   }
 }
 
-std::uint64_t VictimProcess::run_round() {
-  const unsigned target = round_ + 1;
-  while (!done() && round_ < target) step();
-  return cycle_;
-}
-
 std::uint64_t VictimProcess::run_until_round(unsigned rounds) {
   while (!done() && round_ < rounds) step();
   return cycle_;
@@ -86,13 +80,6 @@ std::uint64_t VictimProcess::run_until_round(unsigned rounds) {
 
 std::uint64_t VictimProcess::run_until_cycle(std::uint64_t limit) {
   while (!done() && cycle_ < limit) step();
-  return cycle_;
-}
-
-std::uint64_t VictimProcess::run_until_access(unsigned count) {
-  const unsigned per_round = gift::TableGift64::accesses_per_round();
-  if (count >= per_round) return run_round();  // whole round requested
-  while (!done() && accesses_into_round() < count) step();
   return cycle_;
 }
 

@@ -63,10 +63,6 @@ class VictimProcess {
                         std::uint64_t start_cycle = 0,
                         unsigned max_rounds = gift::Gift64::kRounds);
 
-  /// Executes the rest of the current round's table accesses against the
-  /// cache.  Returns the cycle at which the round completed.
-  std::uint64_t run_round();
-
   /// Runs rounds until `rounds_done() == rounds` (no-op if already there).
   std::uint64_t run_until_round(unsigned rounds);
 
@@ -74,11 +70,6 @@ class VictimProcess {
   /// encryption finishes — this is how a scheduler preempts the victim
   /// mid-round at quantum expiry.  Returns the victim's clock.
   std::uint64_t run_until_cycle(std::uint64_t limit);
-
-  /// Runs until `count` accesses of the current round have executed (a
-  /// precision-probing attacker pauses the victim mid-round).  No-op if
-  /// already past that point within the round.
-  std::uint64_t run_until_access(unsigned count);
 
   /// Completes the available rounds; returns the (full) ciphertext.
   std::uint64_t finish();

@@ -15,8 +15,8 @@
 // FaultProfile names each failure mode with an independent rate; the
 // FaultyObservationSource decorator (target/faulty_source.h) injects them
 // deterministically from per-mode Xoshiro256 sub-streams, and the
-// simulation platforms' eviction-noise knobs (soc::DirectProbePlatform's
-// noise_accesses_per_round) are documented against the same vocabulary:
+// direct-probe platform's eviction-noise option (DirectProbePlatform's
+// noise_accesses_per_round) is documented against the same vocabulary:
 // cache-level third-party traffic is the *mechanism* whose channel-level
 // *symptom* is a false-absent rate.
 #pragma once
@@ -108,9 +108,9 @@ struct FaultProfile {
   }
 };
 
-/// The third-party (co-tenant) noise address space shared by simulation
+/// The third-party (co-tenant) noise address space of simulation
 /// platforms that model eviction noise at the cache level
-/// (soc::DirectProbePlatform::Config::noise_accesses_per_round).
+/// (DirectProbePlatform::Config::noise_accesses_per_round).
 ///
 /// The region is chosen so noise traffic behaves exactly like the fault
 /// vocabulary's false-absent mode and nothing else:
@@ -122,7 +122,7 @@ struct FaultProfile {
 ///    and heavy traffic evicts monitored lines (false absents);
 ///  * it ends below the Prime+Probe eviction-set region (0x4000000), so
 ///    noise cannot masquerade as the attacker's own priming lines.
-/// tests/soc/platform_test.cpp pins all three properties.
+/// tests/target/direct_probe_test.cpp pins all three properties.
 struct NoiseAddressSpace {
   /// First byte of the noise region.
   static constexpr std::uint64_t kBase = 0x100000;

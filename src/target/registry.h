@@ -26,6 +26,10 @@ namespace grinch::target {
 using RegisteredRecoveries =
     std::tuple<Gift64Recovery, Gift128Recovery, Present80Recovery>;
 
+/// The paper's direct-probe platform: GIFT-64, with every probe option
+/// (GrinchAttack, the paper benches and `grinch attack` run on it).
+using Gift64Platform = DirectProbePlatform<Gift64Recovery>;
+
 /// Calls `fn(Recovery{})` once per registered target.
 template <typename Fn>
 void for_each_registered_target(Fn&& fn) {

@@ -27,10 +27,15 @@
 // Every trial keeps a stable backing-lane slot in the core for its
 // lifetime, reset at trial start.  Observations the core's presence
 // shortcut cannot serve (every one on FIFO/PLRU/Random or prefetching
-// caches) run on that slot's scalar cache/prober, whose state persists
-// across group steps exactly like a scalar platform's cache, so the
-// results stay bit-identical to scalar trials on every cache
-// configuration (see wide_observe.h).
+// caches) run on that slot's scalar platform, whose cache persists
+// across group steps as a scalar trial's does, so the results stay
+// bit-identical to scalar trials on every cache configuration (see
+// wide_observe.h).
+//
+// The wide path models the default probe only.  A platform config that
+// sets a probe option (Prime+Probe, precise probing, trace capture,
+// noise; target/platform.h) throws std::invalid_argument, so the
+// contract above never breaks silently.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +43,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/key128.h"
@@ -84,6 +90,11 @@ class WideRecoveryEngine {
         faulted_(config.faults.any()),
         finishing_(config.finish_partials),
         core_(platform_config.cache, platform_config.layout) {
+    if (platform_config.has_probe_options()) {
+      throw std::invalid_argument(
+          "WideRecoveryEngine: probe options (Prime+Probe, precise probe, "
+          "trace capture, noise) run on the scalar DirectProbePlatform only");
+    }
     states_.resize(WideObservationBatch::kMaxWidth);
   }
 

@@ -5,19 +5,19 @@
 #include "attack/grinch.h"
 #include "common/rng.h"
 #include "gift/gift64.h"
-#include "soc/platform.h"
+#include "target/registry.h"
 
 namespace grinch::attack {
 namespace {
 
-soc::DirectProbePlatform::Config default_cfg() {
-  return soc::DirectProbePlatform::Config{};
+target::Gift64Platform::Config default_cfg() {
+  return target::Gift64Platform::Config{};
 }
 
 TEST(Config, TwoStagePartialAttackRecoversTwoRoundKeys) {
   Xoshiro256 rng{1};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform platform{default_cfg(), key};
+  target::Gift64Platform platform{default_cfg(), key};
   GrinchConfig cfg;
   cfg.stages = 2;
   cfg.seed = 11;
@@ -37,7 +37,7 @@ TEST(Config, TwoStagePartialAttackRecoversTwoRoundKeys) {
 TEST(Config, StatisticalModeOnCleanChannelStillCorrect) {
   Xoshiro256 rng{2};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform platform{default_cfg(), key};
+  target::Gift64Platform platform{default_cfg(), key};
   GrinchConfig cfg;
   cfg.stages = 1;
   cfg.statistical_elimination = true;
@@ -60,7 +60,7 @@ TEST(Config, StatisticalModeFallsBackOnCoarseLines) {
   const Key128 key = rng.key128();
   auto cfg = default_cfg();
   cfg.cache.line_bytes = 2;
-  soc::DirectProbePlatform platform{cfg, key};
+  target::Gift64Platform platform{cfg, key};
   GrinchConfig acfg;
   acfg.statistical_elimination = true;
   acfg.max_encryptions = 100000;
@@ -78,13 +78,13 @@ TEST(Config, VotedThresholdCostsMoreOnCleanChannel) {
   base.stages = 1;
   base.seed = 41;
 
-  soc::DirectProbePlatform p1{default_cfg(), key};
+  target::Gift64Platform p1{default_cfg(), key};
   GrinchAttack a1{p1, base};
   const auto r1 = a1.run();
 
   GrinchConfig voted = base;
   voted.elimination_threshold = 3;
-  soc::DirectProbePlatform p2{default_cfg(), key};
+  target::Gift64Platform p2{default_cfg(), key};
   GrinchAttack a2{p2, voted};
   const auto r2 = a2.run();
 
@@ -100,7 +100,7 @@ TEST(Config, DisablingCrossRoundDropsOutOnCoarseLines) {
   const Key128 key = rng.key128();
   auto cfg = default_cfg();
   cfg.cache.line_bytes = 2;
-  soc::DirectProbePlatform platform{cfg, key};
+  target::Gift64Platform platform{cfg, key};
   GrinchConfig acfg;
   acfg.use_cross_round = false;
   acfg.max_encryptions = 5000;
@@ -113,7 +113,7 @@ TEST(Config, DisablingCrossRoundDropsOutOnCoarseLines) {
 TEST(Config, JointModeWorksAtEveryStageDepth) {
   Xoshiro256 rng{6};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform platform{default_cfg(), key};
+  target::Gift64Platform platform{default_cfg(), key};
   GrinchConfig cfg;
   cfg.exploit_all_segments = true;
   cfg.seed = 61;
@@ -127,7 +127,7 @@ TEST(Config, JointModeWorksAtEveryStageDepth) {
 TEST(Config, AttackerCyclesAreAccounted) {
   Xoshiro256 rng{7};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform platform{default_cfg(), key};
+  target::Gift64Platform platform{default_cfg(), key};
   GrinchConfig cfg;
   cfg.stages = 1;
   cfg.seed = 71;

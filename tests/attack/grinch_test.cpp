@@ -5,14 +5,16 @@
 
 #include "common/rng.h"
 #include "gift/gift64.h"
+#include "soc/platform.h"
+#include "target/registry.h"
 
 namespace grinch::attack {
 namespace {
 
-soc::DirectProbePlatform::Config direct_config(unsigned line_words,
-                                               unsigned probing_round,
-                                               bool use_flush) {
-  soc::DirectProbePlatform::Config cfg;
+target::Gift64Platform::Config direct_config(unsigned line_words,
+                                             unsigned probing_round,
+                                             bool use_flush) {
+  target::Gift64Platform::Config cfg;
   cfg.cache.line_bytes = line_words;
   cfg.probing_round = probing_round;
   cfg.use_flush = use_flush;
@@ -25,7 +27,7 @@ TEST(Grinch, RecoversFullKeyUnderFourHundredEncryptions) {
   Xoshiro256 rng{0x400};
   for (int trial = 0; trial < 5; ++trial) {
     const Key128 key = rng.key128();
-    soc::DirectProbePlatform platform{direct_config(1, 1, true), key};
+    target::Gift64Platform platform{direct_config(1, 1, true), key};
     GrinchConfig cfg;
     cfg.seed = 0x1234 + static_cast<std::uint64_t>(trial);
     GrinchAttack attack{platform, cfg};
@@ -41,7 +43,7 @@ TEST(Grinch, RecoversFullKeyUnderFourHundredEncryptions) {
 TEST(Grinch, SingleStageRecoversRoundKeyZero) {
   Xoshiro256 rng{0x401};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform platform{direct_config(1, 1, true), key};
+  target::Gift64Platform platform{direct_config(1, 1, true), key};
   GrinchConfig cfg;
   cfg.stages = 1;
   GrinchAttack attack{platform, cfg};
@@ -59,11 +61,11 @@ TEST(Grinch, WithoutFlushStillSucceedsButCostsMore) {
   GrinchConfig cfg;
   cfg.stages = 1;
 
-  soc::DirectProbePlatform with_flush{direct_config(1, 1, true), key};
+  target::Gift64Platform with_flush{direct_config(1, 1, true), key};
   GrinchAttack a1{with_flush, cfg};
   const AttackResult r1 = a1.run();
 
-  soc::DirectProbePlatform without_flush{direct_config(1, 1, false), key};
+  target::Gift64Platform without_flush{direct_config(1, 1, false), key};
   GrinchAttack a2{without_flush, cfg};
   const AttackResult r2 = a2.run();
 
@@ -79,7 +81,7 @@ TEST(Grinch, LaterProbingIncreasesEffortMonotonically) {
   cfg.stages = 1;
   std::uint64_t prev = 0;
   for (unsigned k : {1u, 3u, 5u}) {
-    soc::DirectProbePlatform platform{direct_config(1, k, true), key};
+    target::Gift64Platform platform{direct_config(1, k, true), key};
     GrinchAttack attack{platform, cfg};
     const AttackResult r = attack.run();
     ASSERT_TRUE(r.success) << "probing round " << k;
@@ -91,7 +93,7 @@ TEST(Grinch, LaterProbingIncreasesEffortMonotonically) {
 TEST(Grinch, TwoWordLinesResolveViaCrossStagePropagation) {
   Xoshiro256 rng{0x404};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform platform{direct_config(2, 1, true), key};
+  target::Gift64Platform platform{direct_config(2, 1, true), key};
   GrinchConfig cfg;
   cfg.seed = 77;
   GrinchAttack attack{platform, cfg};
@@ -107,7 +109,7 @@ TEST(Grinch, TwoWordLinesResolveViaCrossStagePropagation) {
 TEST(Grinch, FourWordLinesStillCrackWithMoreEffort) {
   Xoshiro256 rng{0x405};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform platform{direct_config(4, 1, true), key};
+  target::Gift64Platform platform{direct_config(4, 1, true), key};
   GrinchConfig cfg;
   cfg.seed = 78;
   cfg.max_encryptions = 300000;
@@ -122,7 +124,7 @@ TEST(Grinch, DropoutReportedWhenBudgetExhausted) {
   Xoshiro256 rng{0x406};
   const Key128 key = rng.key128();
   // 8-word lines and probing round 3: far beyond a tiny budget.
-  soc::DirectProbePlatform platform{direct_config(8, 3, true), key};
+  target::Gift64Platform platform{direct_config(8, 3, true), key};
   GrinchConfig cfg;
   cfg.max_encryptions = 2000;
   GrinchAttack attack{platform, cfg};
@@ -141,10 +143,10 @@ TEST(Grinch, JointSegmentExploitationIsCheaper) {
   GrinchConfig joint = sequential;
   joint.exploit_all_segments = true;
 
-  soc::DirectProbePlatform p1{direct_config(1, 1, true), key};
+  target::Gift64Platform p1{direct_config(1, 1, true), key};
   GrinchAttack a1{p1, sequential};
   const auto r1 = a1.run();
-  soc::DirectProbePlatform p2{direct_config(1, 1, true), key};
+  target::Gift64Platform p2{direct_config(1, 1, true), key};
   GrinchAttack a2{p2, joint};
   const auto r2 = a2.run();
 
@@ -156,9 +158,9 @@ TEST(Grinch, JointSegmentExploitationIsCheaper) {
 TEST(Grinch, PrimeProbeAlsoRecoversTheKey) {
   Xoshiro256 rng{0x408};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform::Config pcfg = direct_config(1, 1, true);
-  pcfg.method = soc::ProbeMethod::kPrimeProbe;
-  soc::DirectProbePlatform platform{pcfg, key};
+  target::Gift64Platform::Config pcfg = direct_config(1, 1, true);
+  pcfg.method = target::ProbeMethod::kPrimeProbe;
+  target::Gift64Platform platform{pcfg, key};
   GrinchConfig cfg;
   cfg.stages = 1;
   GrinchAttack attack{platform, cfg};
@@ -188,8 +190,8 @@ TEST(Grinch, DeterministicForFixedSeed) {
   GrinchConfig cfg;
   cfg.stages = 1;
   cfg.seed = 42;
-  soc::DirectProbePlatform p1{direct_config(1, 1, true), key};
-  soc::DirectProbePlatform p2{direct_config(1, 1, true), key};
+  target::Gift64Platform p1{direct_config(1, 1, true), key};
+  target::Gift64Platform p2{direct_config(1, 1, true), key};
   GrinchAttack a1{p1, cfg};
   GrinchAttack a2{p2, cfg};
   EXPECT_EQ(a1.run().total_encryptions, a2.run().total_encryptions);
@@ -200,7 +202,7 @@ class GrinchManyKeys : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(GrinchManyKeys, FullRecoveryForDiverseKeys) {
   Xoshiro256 rng{GetParam()};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform platform{direct_config(1, 1, true), key};
+  target::Gift64Platform platform{direct_config(1, 1, true), key};
   GrinchConfig cfg;
   cfg.seed = GetParam() ^ 0x5A5A;
   GrinchAttack attack{platform, cfg};
@@ -215,7 +217,7 @@ INSTANTIATE_TEST_SUITE_P(KeySweep, GrinchManyKeys,
 TEST(Grinch, RecoversAllZeroAndAllOneKeys) {
   for (const Key128& key :
        {Key128{0, 0}, Key128{~0ull, ~0ull}, Key128{0, ~0ull}}) {
-    soc::DirectProbePlatform platform{direct_config(1, 1, true), key};
+    target::Gift64Platform platform{direct_config(1, 1, true), key};
     GrinchConfig cfg;
     GrinchAttack attack{platform, cfg};
     const AttackResult result = attack.run();

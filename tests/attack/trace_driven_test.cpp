@@ -6,7 +6,7 @@
 #include "common/bits.h"
 #include "common/rng.h"
 #include "gift/gift64.h"
-#include "soc/platform.h"
+#include "target/registry.h"
 
 namespace grinch::attack {
 namespace {
@@ -86,11 +86,11 @@ TEST(TraceDriven, PlatformEmitsConsistentHits) {
   // monitored round.
   Xoshiro256 rng{1};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform::Config cfg;
+  target::Gift64Platform::Config cfg;
   cfg.capture_trace = true;
-  soc::DirectProbePlatform platform{cfg, key};
+  target::Gift64Platform platform{cfg, key};
   const std::uint64_t pt = rng.block64();
-  const soc::Observation obs = platform.observe(pt, 0);
+  const target::Observation obs = platform.observe(pt, 0);
   ASSERT_EQ(obs.sbox_hits.size(), 16u);
 
   const auto states = gift::Gift64::round_states(pt, key);
@@ -104,8 +104,7 @@ TEST(TraceDriven, PlatformEmitsConsistentHits) {
 
 TEST(TraceDriven, NoTraceWithoutCaptureFlag) {
   Xoshiro256 rng{2};
-  soc::DirectProbePlatform platform{soc::DirectProbePlatform::Config{},
-                                    rng.key128()};
+  target::Gift64Platform platform{{}, rng.key128()};
   EXPECT_TRUE(platform.observe(rng.block64(), 0).sbox_hits.empty());
 }
 
@@ -113,17 +112,17 @@ TEST(TraceDriven, AttackNeedsFewerEncryptions) {
   Xoshiro256 rng{3};
   const Key128 key = rng.key128();
 
-  soc::DirectProbePlatform::Config base;
-  soc::DirectProbePlatform p1{base, key};
+  target::Gift64Platform::Config base;
+  target::Gift64Platform p1{base, key};
   attack::GrinchConfig cfg;
   cfg.stages = 1;
   cfg.seed = 31;
   GrinchAttack a1{p1, cfg};
   const auto r1 = a1.run();
 
-  soc::DirectProbePlatform::Config with_trace = base;
+  target::Gift64Platform::Config with_trace = base;
   with_trace.capture_trace = true;
-  soc::DirectProbePlatform p2{with_trace, key};
+  target::Gift64Platform p2{with_trace, key};
   cfg.use_trace_hits = true;
   GrinchAttack a2{p2, cfg};
   const auto r2 = a2.run();

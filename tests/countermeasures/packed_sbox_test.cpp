@@ -4,7 +4,7 @@
 
 #include "common/rng.h"
 #include "gift/gift64.h"
-#include "soc/platform.h"
+#include "target/observation.h"
 
 namespace grinch::cm {
 namespace {
@@ -48,8 +48,7 @@ TEST(PackedSBox, FunctionalCorrectnessPreserved) {
 }
 
 TEST(PackedSBox, ObserverSeesSingleIndistinguishableLine) {
-  const auto ids =
-      soc::compute_index_line_ids(packed_sbox_layout(), 8);
+  const auto ids = target::compute_index_line_ids(packed_sbox_layout(), 8);
   for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(ids[i], 0u);
 }
 

@@ -11,6 +11,7 @@
 #include "gift/gift64.h"
 #include "soc/platform.h"
 #include "soc/victim.h"
+#include "target/registry.h"
 
 namespace grinch {
 namespace {
@@ -39,7 +40,7 @@ TEST(Integration, DirectProbeAndMpSocRecoverTheSameKey) {
   Xoshiro256 rng{2};
   const Key128 key = rng.key128();
 
-  soc::DirectProbePlatform direct{soc::DirectProbePlatform::Config{}, key};
+  target::Gift64Platform direct{target::Gift64Platform::Config{}, key};
   attack::GrinchConfig cfg;
   cfg.seed = 21;
   attack::GrinchAttack a1{direct, cfg};
@@ -85,9 +86,9 @@ TEST(Integration, AttackSucceedsUnderEveryReplacementPolicy) {
   for (auto policy :
        {cachesim::Replacement::kLru, cachesim::Replacement::kFifo,
         cachesim::Replacement::kPlru, cachesim::Replacement::kRandom}) {
-    soc::DirectProbePlatform::Config cfg;
+    target::Gift64Platform::Config cfg;
     cfg.cache.replacement = policy;
-    soc::DirectProbePlatform platform{cfg, key};
+    target::Gift64Platform platform{cfg, key};
     attack::GrinchConfig acfg;
     acfg.stages = 1;
     acfg.seed = 41;
@@ -114,9 +115,8 @@ TEST(Integration, PackedSBoxProtectsTheMpSocToo) {
 TEST(Integration, HardenedVictimLeaksOnlyUselessBits) {
   Xoshiro256 rng{6};
   const Key128 key = rng.key128();
-  soc::DirectProbePlatform::Config cfg;
-  cfg.round_key_provider = cm::hardened_provider();
-  soc::DirectProbePlatform platform{cfg, key};
+  target::Gift64Platform platform{
+      {}, cm::hardened_round_keys(key, gift::Gift64::kRounds)};
   attack::GrinchConfig acfg;
   acfg.seed = 61;
   attack::GrinchAttack attack{platform, acfg};
@@ -165,7 +165,7 @@ TEST(Integration, EffortStatisticsMatchPaperScale) {
   SampleStats full_key;
   for (int t = 0; t < 8; ++t) {
     const Key128 key = rng.key128();
-    soc::DirectProbePlatform platform{soc::DirectProbePlatform::Config{}, key};
+    target::Gift64Platform platform{target::Gift64Platform::Config{}, key};
     attack::GrinchConfig acfg;
     acfg.seed = rng.next();
     attack::GrinchAttack attack{platform, acfg};

@@ -18,7 +18,7 @@ TEST(HierarchyPlatform, CleanObservationMatchesMonitoredRound) {
   const Key128 key = rng.key128();
   HierarchyPlatform platform{HierarchyPlatform::Config{}, key};
   const std::uint64_t pt = rng.block64();
-  const Observation obs = platform.observe(pt, 0);
+  const target::Observation obs = platform.observe(pt, 0);
 
   const auto states = gift::Gift64::round_states(pt, key);
   target::LineSet expected(16);
@@ -37,7 +37,7 @@ TEST(HierarchyPlatform, L1EvictOnlyStillDistinguishes) {
   // DRAM, and must still read as absent).
   (void)platform.observe(rng.block64(), 0);
   const std::uint64_t pt = rng.block64();
-  const Observation obs = platform.observe(pt, 0);
+  const target::Observation obs = platform.observe(pt, 0);
 
   const auto states = gift::Gift64::round_states(pt, key);
   target::LineSet expected(16);
@@ -64,6 +64,7 @@ TEST(HierarchyPlatform, FullAttackThroughTheHierarchy) {
 }
 
 TEST(HierarchyPlatform, ObserveBatchBitIdenticalToScalar) {
+  // HierarchyPlatform keeps ObservationSource's default batch loop.
   Xoshiro256 rng{5};
   const Key128 key = rng.key128();
   HierarchyPlatform scalar{HierarchyPlatform::Config{}, key};
@@ -74,7 +75,7 @@ TEST(HierarchyPlatform, ObserveBatchBitIdenticalToScalar) {
   batched.observe_batch(pts, 0, batch);
   ASSERT_EQ(batch.size(), pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    const Observation o = scalar.observe(pts[i], 0);
+    const target::Observation o = scalar.observe(pts[i], 0);
     EXPECT_EQ(batch[i].present, o.present) << i;
     EXPECT_EQ(batch[i].probed_after_round, o.probed_after_round);
     EXPECT_EQ(batch[i].attacker_cycles, o.attacker_cycles);

@@ -2,139 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <utility>
 
-#include "attack/predictor.h"
 #include "common/bits.h"
 #include "common/rng.h"
 #include "gift/gift64.h"
 
 namespace grinch::soc {
 namespace {
-
-TEST(IndexLineIds, OneWordLinesAreAllDistinct) {
-  const gift::TableLayout layout;
-  const auto ids = compute_index_line_ids(layout, 1);
-  for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(ids[i], i);
-}
-
-TEST(IndexLineIds, FourWordLinesGroupByFour) {
-  const gift::TableLayout layout;
-  const auto ids = compute_index_line_ids(layout, 4);
-  for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(ids[i], i / 4);
-}
-
-TEST(IndexLineIds, PackedCountermeasureWithEightByteLine) {
-  // Countermeasure 1: 8 rows of 8 bits + 8-byte lines => the whole S-Box
-  // occupies a single cache line; every index is indistinguishable.
-  gift::TableLayout layout;
-  layout.sbox_entries_per_row = 2;
-  const auto ids = compute_index_line_ids(layout, 8);
-  for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(ids[i], 0u);
-}
-
-// --------------------------------------------------- DirectProbePlatform --
-
-TEST(DirectProbe, WithFlushObservesExactlyTheMonitoredRound) {
-  Xoshiro256 rng{100};
-  const Key128 key = rng.key128();
-  DirectProbePlatform::Config cfg;
-  cfg.probing_round = 1;
-  cfg.use_flush = true;
-  DirectProbePlatform platform{cfg, key};
-
-  const std::uint64_t pt = rng.block64();
-  const Observation obs = platform.observe(pt, /*stage=*/0);
-  EXPECT_EQ(obs.probed_after_round, 2u);
-
-  // Ground truth: the set of S-Box indices of cipher round 1.
-  const auto states = gift::Gift64::round_states(pt, key);
-  target::LineSet expected(16);
-  for (unsigned s = 0; s < 16; ++s) expected[nibble(states[1], s)] = true;
-  EXPECT_EQ(obs.present, expected);
-}
-
-TEST(DirectProbe, WithoutFlushIncludesRoundZeroDirt) {
-  Xoshiro256 rng{101};
-  const Key128 key = rng.key128();
-  DirectProbePlatform::Config cfg;
-  cfg.probing_round = 1;
-  cfg.use_flush = false;
-  DirectProbePlatform platform{cfg, key};
-
-  const std::uint64_t pt = rng.block64();
-  const Observation obs = platform.observe(pt, 0);
-
-  const auto states = gift::Gift64::round_states(pt, key);
-  target::LineSet expected(16);
-  for (unsigned r = 0; r < 2; ++r) {  // rounds 0 and 1 accumulate
-    for (unsigned s = 0; s < 16; ++s) expected[nibble(states[r], s)] = true;
-  }
-  EXPECT_EQ(obs.present, expected);
-}
-
-TEST(DirectProbe, LaterProbingAccumulatesMoreLines) {
-  Xoshiro256 rng{102};
-  const Key128 key = rng.key128();
-  unsigned prev_count = 0;
-  for (unsigned k : {1u, 3u, 6u}) {
-    DirectProbePlatform::Config cfg;
-    cfg.probing_round = k;
-    DirectProbePlatform platform{cfg, key};
-    const Observation obs = platform.observe(0x1234567812345678ull, 0);
-    const unsigned count = obs.present.count();
-    EXPECT_GE(count, prev_count) << "probing round " << k;
-    prev_count = count;
-  }
-}
-
-TEST(DirectProbe, CiphertextIsTheRealOne) {
-  Xoshiro256 rng{103};
-  const Key128 key = rng.key128();
-  DirectProbePlatform platform{DirectProbePlatform::Config{}, key};
-  const std::uint64_t pt = rng.block64();
-  // The observation itself carries no ciphertext (the victim truncates at
-  // the probe point); the published ciphertext is completed on demand.
-  (void)platform.observe(pt, 0);
-  EXPECT_EQ(platform.last_ciphertext(), gift::Gift64::encrypt(pt, key));
-}
-
-TEST(DirectProbe, StageShiftsTheMonitoredRound) {
-  Xoshiro256 rng{104};
-  const Key128 key = rng.key128();
-  DirectProbePlatform::Config cfg;
-  cfg.probing_round = 1;
-  DirectProbePlatform platform{cfg, key};
-  const std::uint64_t pt = rng.block64();
-  const Observation obs = platform.observe(pt, /*stage=*/2);
-  EXPECT_EQ(obs.probed_after_round, 4u);
-  const auto states = gift::Gift64::round_states(pt, key);
-  target::LineSet expected(16);
-  for (unsigned s = 0; s < 16; ++s) expected[nibble(states[3], s)] = true;
-  EXPECT_EQ(obs.present, expected);
-}
-
-TEST(DirectProbe, ObserveBatchBitIdenticalToScalar) {
-  Xoshiro256 rng{113};
-  const Key128 key = rng.key128();
-  DirectProbePlatform scalar{DirectProbePlatform::Config{}, key};
-  DirectProbePlatform batched{DirectProbePlatform::Config{}, key};
-  for (unsigned stage = 0; stage < 2; ++stage) {
-    std::vector<std::uint64_t> pts;
-    for (unsigned i = 0; i < 6; ++i) pts.push_back(rng.block64());
-    target::ObservationBatch batch;
-    batched.observe_batch(pts, stage, batch);
-    ASSERT_EQ(batch.size(), pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      const Observation o = scalar.observe(pts[i], stage);
-      EXPECT_EQ(batch[i].present, o.present) << "stage " << stage << " " << i;
-      EXPECT_EQ(batch[i].probed_after_round, o.probed_after_round);
-      EXPECT_EQ(batch[i].attacker_cycles, o.attacker_cycles);
-      EXPECT_EQ(batch[i].sbox_hits, o.sbox_hits);
-    }
-    EXPECT_EQ(batched.last_ciphertext(), scalar.last_ciphertext());
-  }
-}
 
 // --------------------------------------------------------- SingleCoreSoC --
 
@@ -156,7 +31,7 @@ TEST(SingleCore, ObservationCoversRoundsUpToPreemption) {
   SingleCoreSoC::Config cfg;
   cfg.rtos.clock_mhz = 10.0;
   SingleCoreSoC soc{cfg, key};
-  const Observation obs = soc.observe(rng.block64(), 0);
+  const target::Observation obs = soc.observe(rng.block64(), 0);
   // At 10 MHz the quantum covers one full round plus part of round 2.
   EXPECT_GE(obs.probed_after_round, 1u);
   EXPECT_LE(obs.probed_after_round, 2u);
@@ -203,7 +78,7 @@ TEST(MpSoc, ObservationIsCleanMonitoredRound) {
   const Key128 key = rng.key128();
   MpSoc soc{MpSoc::Config{}, key};
   const std::uint64_t pt = rng.block64();
-  const Observation obs = soc.observe(pt, 0);
+  const target::Observation obs = soc.observe(pt, 0);
   const auto states = gift::Gift64::round_states(pt, key);
   target::LineSet expected(16);
   for (unsigned s = 0; s < 16; ++s) expected[nibble(states[1], s)] = true;

@@ -30,7 +30,7 @@ TEST(Victim, RunsExactlyTwentyEightRounds) {
   f.victim.begin_encryption(rng.block64(), rng.key128());
   unsigned rounds = 0;
   while (!f.victim.done()) {
-    f.victim.run_round();
+    f.victim.run_until_round(f.victim.rounds_done() + 1);
     ++rounds;
   }
   EXPECT_EQ(rounds, gift::Gift64::kRounds);
@@ -41,10 +41,10 @@ TEST(Victim, RoundAccessesTouchTheCache) {
   Fixture f;
   Xoshiro256 rng{3};
   f.victim.begin_encryption(rng.block64(), rng.key128());
-  f.victim.run_round();
+  f.victim.run_until_round(1);
   EXPECT_EQ(f.cache.stats().accesses, 32u);
   // Round 2 re-touches mostly cached lines: hits must appear.
-  f.victim.run_round();
+  f.victim.run_until_round(2);
   EXPECT_GT(f.cache.stats().hits, 0u);
 }
 
@@ -54,7 +54,8 @@ TEST(Victim, CyclesAdvanceMonotonically) {
   f.victim.begin_encryption(rng.block64(), rng.key128());
   std::uint64_t prev = f.victim.now();
   while (!f.victim.done()) {
-    const std::uint64_t t = f.victim.run_round();
+    const std::uint64_t t =
+        f.victim.run_until_round(f.victim.rounds_done() + 1);
     EXPECT_GT(t, prev);
     prev = t;
   }

@@ -59,8 +59,6 @@ bool stage_keys_equal(const StageKey& a, const StageKey& b) {
 //  Channel unit tests (GIFT-64 direct-probe platform as the inner)    //
 // ------------------------------------------------------------------ //
 
-using Gift64Platform = DirectProbePlatform<Gift64Recovery>;
-
 /// The two ways a fault profile reaches an observation: the decorator
 /// around a platform, or a bare FaultChannel applied to the platform's
 /// observations, as each wide-engine lane does.

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -506,6 +507,27 @@ TYPED_TEST(WideConformance, WideEngineFallsBackOnUnsupportedConfig) {
     expect_equal_results(results[t], refs[t],
                          "fallback trial " + std::to_string(t));
   }
+}
+
+TYPED_TEST(WideConformance, WideEngineRefusesProbeOptions) {
+  // The wide path models the default probe only, so each probe option
+  // must be refused up front rather than silently ignored.
+  using Recovery = TypeParam;
+  using PlatformConfig = typename DirectProbePlatform<Recovery>::Config;
+  const typename KeyRecoveryEngine<Recovery>::Config config;
+  PlatformConfig prime_probe;
+  prime_probe.method = ProbeMethod::kPrimeProbe;
+  PlatformConfig precise;
+  precise.precise_probe = true;
+  PlatformConfig trace;
+  trace.capture_trace = true;
+  PlatformConfig noise;
+  noise.noise_accesses_per_round = 1;
+  for (const PlatformConfig& platform : {prime_probe, precise, trace, noise}) {
+    EXPECT_THROW(WideRecoveryEngine<Recovery>(config, platform),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(WideRecoveryEngine<Recovery>(config, PlatformConfig{}));
 }
 
 TYPED_TEST(WideConformance, ShardedWideRunsAreThreadCountInvariant) {

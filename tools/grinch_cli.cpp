@@ -160,20 +160,37 @@ int cmd_attack(const Args& args) {
   Xoshiro256 rng{args.get_u64("seed", 0xC11)};
   const Key128 key = key_from_args(args, rng);
 
-  soc::DirectProbePlatform::Config pcfg;
-  pcfg.cache.line_bytes =
-      static_cast<unsigned>(args.get_u64("line-words", 1));
-  pcfg.probing_round =
+  // The ranges CampaignSpec::validate enforces.
+  const std::uint64_t stages = args.get_u64("stages", 4);
+  const std::uint64_t line_words = args.get_u64("line-words", 1);
+  const auto probing_round =
       static_cast<unsigned>(args.get_u64("probing-round", 1));
+  if (stages < 1 || stages > 4) {
+    std::fprintf(stderr, "bad --stages (need 1 to 4)\n");
+    return 2;
+  }
+  if (line_words != 1 && line_words != 2 && line_words != 4 &&
+      line_words != 8) {
+    std::fprintf(stderr, "bad --line-words (need 1, 2, 4 or 8)\n");
+    return 2;
+  }
+  if (probing_round == 0) {
+    std::fprintf(stderr, "bad --probing-round (need >= 1)\n");
+    return 2;
+  }
+
+  target::Gift64Platform::Config pcfg;
+  pcfg.cache.line_bytes = static_cast<unsigned>(line_words);
+  pcfg.probing_round = probing_round;
   pcfg.use_flush = !args.has("no-flush");
-  if (args.has("prime-probe")) pcfg.method = soc::ProbeMethod::kPrimeProbe;
+  if (args.has("prime-probe")) pcfg.method = target::ProbeMethod::kPrimeProbe;
   if (args.has("precise")) pcfg.precise_probe = true;
   pcfg.noise_accesses_per_round =
       static_cast<unsigned>(args.get_u64("noise", 0));
-  soc::DirectProbePlatform platform{pcfg, key};
+  target::Gift64Platform platform{pcfg, key};
 
   attack::GrinchConfig acfg;
-  acfg.stages = static_cast<unsigned>(args.get_u64("stages", 4));
+  acfg.stages = static_cast<unsigned>(stages);
   acfg.max_encryptions = args.get_u64("budget", 1000000);
   acfg.seed = args.get_u64("seed", 0xC11) ^ 0xA77AC4;
   acfg.exploit_all_segments = args.has("joint");
@@ -185,8 +202,9 @@ int cmd_attack(const Args& args) {
   std::printf("platform:        %s, probing round %u, %s, %s\n",
               pcfg.cache.describe().c_str(), pcfg.probing_round,
               pcfg.use_flush ? "flush" : "no flush",
-              pcfg.method == soc::ProbeMethod::kPrimeProbe ? "Prime+Probe"
-                                                           : "Flush+Reload");
+              pcfg.method == target::ProbeMethod::kPrimeProbe
+                  ? "Prime+Probe"
+                  : "Flush+Reload");
   unsigned long long restarts = 0;
   for (std::size_t s = 0; s < r.stages.size(); ++s) {
     restarts += r.stages[s].noise_restarts;
