@@ -142,4 +142,13 @@ ProbeResult PrimeProbeProber::probe() {
   return result;
 }
 
+std::unique_ptr<CacheProber> make_prober(ProbeMethod method,
+                                         cachesim::Cache& cache,
+                                         const TableLayout& layout) {
+  if (method == ProbeMethod::kPrimeProbe) {
+    return std::make_unique<PrimeProbeProber>(cache, layout);
+  }
+  return std::make_unique<FlushReloadProber>(cache, layout);
+}
+
 }  // namespace grinch::target

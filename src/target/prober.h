@@ -25,10 +25,12 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cachesim/cache.h"
 #include "target/line_set.h"
+#include "target/observation.h"
 #include "target/table_layout.h"
 
 namespace grinch::target {
@@ -139,5 +141,9 @@ class PrimeProbeProber final : public CacheProber {
   /// Priming access sequence of prepare(), in order.
   std::vector<std::uint64_t> prime_addrs_;
 };
+
+/// The prober `method` names, on `cache`, over `layout`'s S-Box rows.
+[[nodiscard]] std::unique_ptr<CacheProber> make_prober(
+    ProbeMethod method, cachesim::Cache& cache, const TableLayout& layout);
 
 }  // namespace grinch::target
