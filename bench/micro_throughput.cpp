@@ -28,6 +28,7 @@
 #include "runner/trial_runner.h"
 #include "target/gift64_recovery.h"
 #include "target/platform.h"
+#include "target/present80_recovery.h"
 #include "target/registry.h"
 #include "target/wide_engine.h"
 #include "target/wide_observe.h"
@@ -81,6 +82,28 @@ void BM_Present80Encrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Present80Encrypt);
+
+void BM_Present80KeySearch(benchmark::State& state) {
+  // One Present80Recovery::finalize on a key whose low 16 bits are 0xFFFF:
+  // the full 2^16 search over the key bits the cache never sees.
+  // items_per_second is candidate keys per second.
+  Xoshiro256 rng{46};
+  Key128 key = target::Present80Recovery::canonical_key(rng.key128());
+  key.lo |= 0xFFFF;
+  const std::uint64_t pt = rng.block64();
+  const std::uint64_t ct = present::Present80::encrypt(pt, key);
+  target::DirectProbePlatform<target::Present80Recovery> platform{{}, key};
+  for (auto _ : state) {
+    target::RecoveryResult<target::Present80Recovery> r;
+    r.stage_keys = {(key.hi << 48) | (key.lo >> 16)};
+    target::Present80Recovery::finalize(r, platform, rng, pt, ct);
+    if (r.recovered_key != key) state.SkipWithError("search failed");
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          std::int64_t{1 << 16});
+}
+BENCHMARK(BM_Present80KeySearch)->Unit(benchmark::kMillisecond);
 
 void BM_BitslicedGift64Encrypt(benchmark::State& state) {
   Xoshiro256 rng{45};

@@ -23,8 +23,7 @@ std::vector<unsigned> gift_map(unsigned width) {
 
 std::vector<unsigned> present_map() {
   std::vector<unsigned> map(64);
-  for (unsigned i = 0; i < 63; ++i) map[i] = (16 * i) % 63;
-  map[63] = 63;
+  for (unsigned i = 0; i < 64; ++i) map[i] = present_p_layer_bit(i);
   return map;
 }
 

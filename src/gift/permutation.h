@@ -73,7 +73,13 @@ class BitPermutation {
 /// The GIFT-128 PermBits permutation (width 128).
 [[nodiscard]] const BitPermutation& gift128_permutation();
 
-/// The PRESENT pLayer permutation (width 64): P(i) = 16·i mod 63 (i<63).
+/// Destination of bit i under PRESENT's pLayer: P(i) = 16·i mod 63 for
+/// i < 63, and P(63) = 63.
+[[nodiscard]] constexpr unsigned present_p_layer_bit(unsigned i) noexcept {
+  return i == 63 ? 63 : (16 * i) % 63;
+}
+
+/// The PRESENT pLayer permutation (width 64): present_p_layer_bit.
 [[nodiscard]] const BitPermutation& present_permutation();
 
 }  // namespace grinch::gift

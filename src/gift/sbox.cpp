@@ -51,9 +51,7 @@ const SBox& gift_sbox() {
 }
 
 const SBox& present_sbox() {
-  // Bogdanov et al., CHES 2007, Table 1.
-  static const SBox sbox{{0xc, 0x5, 0x6, 0xb, 0x9, 0x0, 0xa, 0xd, 0x3, 0xe,
-                          0xf, 0x8, 0x4, 0x7, 0x1, 0x2}};
+  static const SBox sbox{kPresentSBox};
   return sbox;
 }
 

@@ -50,6 +50,13 @@ class SBox {
 /// The GIFT S-Box GS (shared by GIFT-64 and GIFT-128).
 [[nodiscard]] const SBox& gift_sbox();
 
+/// The PRESENT S-Box values, x -> S(x) (Bogdanov et al., CHES 2007,
+/// Table 1): present_sbox() reads them, and so do the compile-time round
+/// tables of the PRESENT reference cipher.
+inline constexpr std::array<std::uint8_t, 16> kPresentSBox{
+    0xc, 0x5, 0x6, 0xb, 0x9, 0x0, 0xa, 0xd,
+    0x3, 0xe, 0xf, 0x8, 0x4, 0x7, 0x1, 0x2};
+
 /// The PRESENT S-Box (used by the PRESENT substrate and cross-cipher tests).
 [[nodiscard]] const SBox& present_sbox();
 

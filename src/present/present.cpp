@@ -6,24 +6,77 @@
 namespace grinch::present {
 namespace {
 
+using gift::kPresentSBox;
 using gift::present_permutation;
 using gift::present_sbox;
 
-std::uint64_t sbox_layer(std::uint64_t state) {
-  return present_sbox().apply_state64(state);
+/// Entry [b][v]: the pLayer image of byte v at byte b after the S-Box
+/// (see the header), from the S-Box values and the pLayer's closed form.
+using RoundTable = std::array<std::array<std::uint64_t, 256>, 8>;
+
+constexpr RoundTable make_round_table() {
+  RoundTable table{};
+  for (unsigned b = 0; b < 8; ++b) {
+    for (unsigned v = 0; v < 256; ++v) {
+      const unsigned substituted =
+          static_cast<unsigned>(kPresentSBox[v >> 4] << 4) |
+          kPresentSBox[v & 0xF];
+      std::uint64_t image = 0;
+      for (unsigned k = 0; k < 8; ++k) {
+        if (((substituted >> k) & 1u) == 0) continue;
+        image |= std::uint64_t{1} << gift::present_p_layer_bit(8 * b + k);
+      }
+      table[b][v] = image;
+    }
+  }
+  return table;
+}
+
+constexpr RoundTable kRoundTable = make_round_table();
+
+/// sBoxLayer then pLayer: the S-Box stays within a byte and the pLayer
+/// only moves bits, so the round is the OR of the 8 byte images.
+std::uint64_t sbox_p_layer(std::uint64_t state) noexcept {
+  std::uint64_t out = 0;
+  for (unsigned b = 0; b < 8; ++b) {
+    out |= kRoundTable[b][(state >> (8 * b)) & 0xFF];
+  }
+  return out;
 }
 
 std::uint64_t inv_sbox_layer(std::uint64_t state) {
   return present_sbox().invert_state64(state);
 }
 
-std::uint64_t p_layer(std::uint64_t state) {
-  return present_permutation().apply64(state);
-}
-
 std::uint64_t inv_p_layer(std::uint64_t state) {
   return present_permutation().invert64(state);
 }
+
+/// PRESENT-80's key register: hi = bits 79..64, lo = bits 63..0.
+class KeyRegister80 {
+ public:
+  explicit KeyRegister80(const Key128& key) noexcept
+      : hi_(key.hi & 0xFFFF), lo_(key.lo) {}
+
+  /// The current round key, then one update step.
+  std::uint64_t next() noexcept {
+    // Round key = leftmost 64 bits, i.e. bits 79..16 of the register.
+    const std::uint64_t round_key = (hi_ << 48) | (lo_ >> 16);
+    // 1) rotate the 80-bit register left by 61 (== right by 19).
+    const std::uint64_t lo = (lo_ >> 19) | (hi_ << 45) | (lo_ << 61);
+    hi_ = (lo_ >> 3) & 0xFFFF;
+    // 2) S-Box on the top 4 bits (79..76).
+    hi_ = (hi_ & 0x0FFF) | (std::uint64_t{kPresentSBox[hi_ >> 12]} << 12);
+    // 3) XOR round counter into bits 19..15.
+    lo_ = lo ^ (std::uint64_t{++round_} << 15);
+    return round_key;
+  }
+
+ private:
+  std::uint64_t hi_;
+  std::uint64_t lo_;
+  unsigned round_ = 0;
+};
 
 /// Round keys of PRESENT-128.
 RoundKeys expand128(const Key128& key) noexcept {
@@ -49,13 +102,12 @@ RoundKeys expand128(const Key128& key) noexcept {
   return rks;
 }
 
-std::uint64_t run_encrypt(std::uint64_t state, const RoundKeys& rks) {
-  for (unsigned r = 0; r < 31; ++r) {
-    state ^= rks[r];
-    state = sbox_layer(state);
-    state = p_layer(state);
-  }
-  return state ^ rks[31];
+/// The 31 rounds and the whitening key; each call of `next_key()` yields
+/// the next of the 32 round keys.
+template <typename NextKey>
+std::uint64_t run_encrypt(std::uint64_t state, NextKey next_key) {
+  for (unsigned r = 0; r < 31; ++r) state = sbox_p_layer(state ^ next_key());
+  return state ^ next_key();
 }
 
 std::uint64_t run_decrypt(std::uint64_t state, const RoundKeys& rks) {
@@ -71,30 +123,15 @@ std::uint64_t run_decrypt(std::uint64_t state, const RoundKeys& rks) {
 }  // namespace
 
 RoundKeys Present80::round_keys(const Key128& key) noexcept {
-  // 80-bit key register: hi = bits 79..64, lo = bits 63..0.
-  auto hi = static_cast<std::uint16_t>(key.hi & 0xFFFF);
-  std::uint64_t lo = key.lo;
+  KeyRegister80 reg{key};
   RoundKeys rks{};
-  for (unsigned round = 1; round <= 32; ++round) {
-    // Round key = leftmost 64 bits, i.e. bits 79..16 of the register.
-    rks[round - 1] = (static_cast<std::uint64_t>(hi) << 48) | (lo >> 16);
-    // 1) rotate the 80-bit register left by 61 (== right by 19).
-    const std::uint64_t new_lo =
-        (lo >> 19) | (static_cast<std::uint64_t>(hi) << 45) | (lo << 61);
-    hi = static_cast<std::uint16_t>((lo >> 3) & 0xFFFF);
-    lo = new_lo;
-    // 2) S-Box on the top 4 bits (79..76).
-    const unsigned top = (hi >> 12) & 0xF;
-    hi = static_cast<std::uint16_t>((hi & 0x0FFF) |
-                                    (present_sbox().apply(top) << 12));
-    // 3) XOR round counter into bits 19..15.
-    lo ^= static_cast<std::uint64_t>(round) << 15;
-  }
+  for (std::uint64_t& rk : rks) rk = reg.next();
   return rks;
 }
 
 std::uint64_t Present80::encrypt(std::uint64_t plaintext, const Key128& key) {
-  return run_encrypt(plaintext, round_keys(key));
+  KeyRegister80 reg{key};
+  return run_encrypt(plaintext, [&reg] { return reg.next(); });
 }
 
 std::uint64_t Present80::decrypt(std::uint64_t ciphertext, const Key128& key) {
@@ -102,7 +139,8 @@ std::uint64_t Present80::decrypt(std::uint64_t ciphertext, const Key128& key) {
 }
 
 std::uint64_t Present128::encrypt(std::uint64_t plaintext, const Key128& key) {
-  return run_encrypt(plaintext, expand128(key));
+  const RoundKeys rks = expand128(key);
+  return run_encrypt(plaintext, [&rks, r = 0u]() mutable { return rks[r++]; });
 }
 
 std::uint64_t Present128::decrypt(std::uint64_t ciphertext, const Key128& key) {

@@ -12,6 +12,14 @@
 // Attacker-side reference arithmetic (key verification, the 2^16 finalize
 // search), table-driven and not constant-time; the table victim
 // TablePresent80 (table_present.h) is the leak under study.
+//
+// Encryption fuses sBoxLayer and pLayer into one 8 × 256 table of 64-bit
+// words (16 KB), built at compile time: entry [b][v] is the pLayer image
+// of byte v at byte b after the S-Box.  The pLayer only moves bits and the
+// S-Box stays within a byte, so a round is AddRoundKey and then 8 lookups
+// ORed together.  PRESENT-80 steps its key register inline, one step per
+// round, instead of expanding the schedule first.  Decryption runs the
+// inverse layers one after the other on the expanded schedule.
 #pragma once
 
 #include <array>
@@ -35,7 +43,8 @@ class Present80 {
   [[nodiscard]] static std::uint64_t decrypt(std::uint64_t ciphertext,
                                              const Key128& key);
 
-  /// The key schedule, expanded on the stack.
+  /// The key schedule, expanded on the stack (the same register steps
+  /// encrypt() takes one round at a time).
   [[nodiscard]] static RoundKeys round_keys(const Key128& key) noexcept;
 };
 

@@ -80,34 +80,53 @@ struct Present80Recovery : Present80Traits {
     return rk0;
   }
 
+  /// Key bits 15..0, the ones the cache never sees, take 2^16 values.
+  static constexpr std::uint64_t kLowKeys = std::uint64_t{1} << 16;
+
+  /// The 80-bit key with register bits 79..16 = `rk0`, 15..0 = `low`.
+  static Key128 key_with_low(std::uint64_t rk0, std::uint64_t low) noexcept {
+    return Key128{rk0 >> 48, (rk0 << 16) | low};
+  }
+
+  /// The exhaustive search over key bits 15..0: the first low >= `start`
+  /// whose key encrypts `pt` to `ct`, or kLowKeys when none does.
+  static std::uint64_t search_low(std::uint64_t rk0, std::uint64_t start,
+                                  std::uint64_t pt, std::uint64_t ct) {
+    for (std::uint64_t low = start; low < kLowKeys; ++low) {
+      if (reference_encrypt(pt, key_with_low(rk0, low)) == ct) return low;
+    }
+    return kLowKeys;
+  }
+
   /// Residual-finisher verification hook (src/finisher/finisher.h): a
   /// candidate fixes RK0 (key bits 79..16); the 16 bits the cache never
-  /// sees fall to the same exhaustive loop finalize() runs, filtered on
-  /// the first pair and confirmed on the rest.
+  /// sees fall to the search finalize() runs, filtered on the first pair
+  /// and confirmed on the rest.  offline_trials counts one trial per
+  /// candidate tested and one per confirming pair.
   static bool finisher_verify(std::span<const std::uint64_t> stage_keys,
                               std::span<const std::uint64_t> pts,
                               std::span<const std::uint64_t> cts,
                               Key128& key_out,
                               std::uint64_t& offline_trials) {
     const std::uint64_t rk0 = stage_keys[0];
-    for (std::uint64_t low = 0; low < (1u << 16); ++low) {
-      Key128 key;
-      key.hi = rk0 >> 48;          // bits 79..64
-      key.lo = (rk0 << 16) | low;  // bits 63..0
-      ++offline_trials;
-      if (reference_encrypt(pts[0], key) != cts[0]) continue;
+    for (std::uint64_t start = 0; start < kLowKeys;) {
+      const std::uint64_t low = search_low(rk0, start, pts[0], cts[0]);
+      if (low == kLowKeys) {
+        offline_trials += kLowKeys - start;
+        break;
+      }
+      offline_trials += low + 1 - start;
+      const Key128 key = key_with_low(rk0, low);
       bool ok = true;
-      for (std::size_t i = 1; i < pts.size(); ++i) {
+      for (std::size_t i = 1; i < pts.size() && ok; ++i) {
         ++offline_trials;
-        if (reference_encrypt(pts[i], key) != cts[i]) {
-          ok = false;
-          break;
-        }
+        ok = reference_encrypt(pts[i], key) == cts[i];
       }
       if (ok) {
         key_out = key;
         return true;
       }
+      start = low + 1;
     }
     return false;
   }
@@ -119,20 +138,13 @@ struct Present80Recovery : Present80Traits {
                        Xoshiro256& /*rng*/, std::uint64_t last_pt,
                        std::uint64_t last_ct) {
     const std::uint64_t rk0 = result.stage_keys[0];
-    result.offline_trials = 1u << 16;
-    // RK0 = key-register bits 79..16; enumerate bits 15..0.
-    for (std::uint64_t low = 0; low < (1u << 16); ++low) {
-      Key128 key;
-      key.hi = rk0 >> 48;          // bits 79..64
-      key.lo = (rk0 << 16) | low;  // bits 63..0
-      if (reference_encrypt(last_pt, key) == last_ct) {
-        result.recovered_key = key;
-        result.key_verified = true;
-        result.success = true;
-        return;
-      }
-    }
+    result.offline_trials = kLowKeys;
+    const std::uint64_t low = search_low(rk0, 0, last_pt, last_ct);
     // No match: RK0 must have been wrong (noise); success stays false.
+    if (low == kLowKeys) return;
+    result.recovered_key = key_with_low(rk0, low);
+    result.key_verified = true;
+    result.success = true;
   }
 };
 
