@@ -143,9 +143,6 @@ Outcome run_campaign_t(const CampaignSpec& spec, const Options& opts) {
   ecfg.faults = spec.faults();
   ecfg.finish_partials = spec.finish;
   ecfg.finish_max_candidates = spec.finish_budget;
-  // finish_pool stays null: the shard worker already runs inside the
-  // campaign ThreadPool, which does not nest (the serial finisher path
-  // reports byte-identical outcomes anyway).
 
   std::vector<std::unique_ptr<ShardSlot>> slots(total);
   for (std::size_t i = start_shard; i < total; ++i) {

@@ -1,5 +1,9 @@
 #include "common/hex.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+
 #include "common/key128.h"
 
 namespace grinch {
@@ -32,6 +36,17 @@ std::optional<std::uint64_t> parse_hex_u64(const std::string& s) {
     if (d < 0) return std::nullopt;
     v = (v << 4) | static_cast<std::uint64_t>(d);
   }
+  return v;
+}
+
+std::optional<std::uint64_t> parse_whole_u64(const std::string& s) {
+  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0])) == 0) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
+  if (errno == ERANGE || *end != '\0') return std::nullopt;
   return v;
 }
 

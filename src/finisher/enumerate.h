@@ -9,9 +9,9 @@
 //
 //   (total penalty ascending, rank vector lexicographically ascending),
 //
-// i.e. most-likely-first with a deterministic, thread-count-independent
-// tie order.  This is the classic "sorted sums" frontier walk specialised
-// to small per-slot alphabets: enumerate one penalty level at a time with
+// i.e. most-likely-first with a deterministic tie order.  This is the
+// classic "sorted sums" frontier walk specialised to small per-slot
+// alphabets: enumerate one penalty level at a time with
 // a depth-first scan whose per-node rank loop breaks at the first
 // overshooting delta (deltas are sorted ascending per slot), recording
 // `prefix + delta` as a candidate for the next level.  Infeasible
@@ -28,8 +28,7 @@
 // strictly increase through a finite value set, and no achievable total
 // is ever skipped.
 //
-// Memory is O(slots); state is a rank prefix + running penalty, which
-// makes `skip(n)` (resume support) a plain fast-forward.
+// Memory is O(slots): the state is a rank prefix and its running penalty.
 #pragma once
 
 #include <cmath>
@@ -114,15 +113,6 @@ class PenaltyEnumerator {
       }
       r = pop() + 1;
     }
-  }
-
-  /// Fast-forwards past `n` assignments (resume support); returns the
-  /// number actually skipped (< n only when the space ran out).
-  std::uint64_t skip(std::uint64_t n) {
-    std::vector<std::uint32_t> scratch;
-    std::uint64_t skipped = 0;
-    while (skipped < n && next(scratch)) ++skipped;
-    return skipped;
   }
 
   /// Joint penalty of the most recently emitted assignment (the current

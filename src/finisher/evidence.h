@@ -67,8 +67,7 @@ enum class FinisherOutcome : std::uint8_t {
   /// A candidate verified against every known pair; the full key is in
   /// RecoveryResult::recovered_key.
   kRecovered = 1,
-  /// The candidate budget (or deadline / cooperative stop) ran out with
-  /// candidates left; FinisherStats::frontier_rank is the resume point.
+  /// The candidate budget ran out with candidates left.
   kExhaustedBudget = 2,
   /// The ranked space was exhausted without a verified key: the true key
   /// falls outside the surviving masks (or the evidence itself is
@@ -94,21 +93,17 @@ enum class FinisherOutcome : std::uint8_t {
 /// Finisher statistics carried in RecoveryResult and serialized into
 /// campaign JSONL / `grinch --json` reports.
 ///
-/// Determinism contract: every field except `wall_seconds` and
-/// `interrupted` is byte-identical at any thread count and across
-/// resume boundaries (candidates past the verified winner's rank are
-/// verified speculatively in parallel but never counted).  Wall time
-/// never enters campaign records or conformance comparisons.
+/// Every field except `wall_seconds` is deterministic.  Wall time never
+/// enters campaign records or conformance comparisons.
 struct FinisherStats {
   FinisherOutcome outcome = FinisherOutcome::kNotRun;
-  /// Candidates tested this run, counted in rank order up to and
-  /// including the winner (or the frontier on exhaustion).
+  /// Candidates tested, in rank order up to and including the winner.
   std::uint64_t candidates_tested = 0;
   /// Rank (0-based, maximum-likelihood order) of the verified candidate;
   /// meaningful only when outcome == kRecovered.
   std::uint64_t rank = 0;
-  /// Next untested rank — pass as Options::start_rank to resume an
-  /// exhausted search exactly where it stopped.
+  /// Next untested rank; the search starts at rank 0, so this equals
+  /// candidates_tested.
   std::uint64_t frontier_rank = 0;
   /// Reference-cipher trials spent verifying candidates (PRESENT's
   /// 2^16 low-bit loop dominates); summed into
@@ -121,10 +116,6 @@ struct FinisherStats {
   /// Wall-clock spent in this finisher invocation.  NOT deterministic;
   /// reported in `grinch --json` and bench `*_seconds` metrics only.
   double wall_seconds = 0.0;
-  /// True when a wall-clock deadline or cooperative stop cut the search
-  /// short of its candidate budget.  NOT deterministic when a deadline
-  /// is set (the engines never set one).
-  bool interrupted = false;
 };
 
 }  // namespace grinch::finisher

@@ -1,5 +1,5 @@
-// ResidualFinisher: maximum-likelihood search completing a partial
-// recovery into a verified full key (docs/ROBUSTNESS.md "Residual-key
+// Residual-key finisher: maximum-likelihood search completing a partial
+// recovery into a verified full key (docs/ROBUSTNESS.md "The residual
 // finisher").
 //
 // Input: a finish-mode RecoveryResult partial — per-stage keys with the
@@ -7,33 +7,20 @@
 // (finisher/evidence.h) and 1-2 exact known plaintext/ciphertext pairs.
 // The finisher ranks residual key assignments by their joint
 // presence-count deficit (likelihood.h), enumerates them in
-// (penalty, lexicographic) order (enumerate.h), and verifies candidates
-// against the known pairs via the cipher's reference implementation
-// (Recovery::finisher_verify) until one matches.
+// (penalty, lexicographic) order (enumerate.h), and verifies them one at
+// a time against the known pairs via the cipher's reference
+// implementation (Recovery::finisher_verify) until one matches.
 //
-// Robustness contract:
-//  * Deterministic budget — Options::max_candidates caps candidates
-//    tested this invocation; an optional wall-clock deadline and a
-//    cooperative stop flag cut long searches (marked `interrupted`).
-//  * Byte-identical outcome at any thread count — candidates are
-//    enumerated into rank-ordered chunks; a chunk's verifications run in
-//    parallel over runner::ThreadPool (work-stealing), but the winner is
-//    the LOWEST-rank verified candidate and stats (candidates_tested,
-//    offline_trials) are accumulated over the rank prefix up to and
-//    including it, so speculative verification past the winner never
-//    shows up in any reported field.
-//  * Resumable — FinisherStats::frontier_rank is the next untested rank;
-//    re-running with Options::start_rank = frontier_rank (and fresh
-//    budget) continues exactly where a killed search stopped, and the
-//    union of the two runs reports the same winner rank as one big run.
-//  * Three-way outcome — kRecovered / kExhaustedBudget (frontier kept) /
-//    kEvidenceInconsistent (ranked space exhausted without a verified
-//    key: the truth fell outside the surviving masks, or the evidence —
-//    or the pairs — are corrupt).
+// Outcome, three-way: kRecovered (rank = the winner's 0-based rank) /
+// kExhaustedBudget (Options::max_candidates tested) /
+// kEvidenceInconsistent (ranked space exhausted without a verified key:
+// the truth fell outside the surviving masks, or the evidence — or the
+// pairs — are corrupt).  candidates_tested counts the rank prefix
+// through the winner, and frontier_rank, the next untested rank, equals
+// it.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <utility>
@@ -43,30 +30,14 @@
 #include "finisher/enumerate.h"
 #include "finisher/evidence.h"
 #include "finisher/likelihood.h"
-#include "runner/thread_pool.h"
 #include "target/candidate_mask.h"
 #include "target/stage_state.h"
 
 namespace grinch::finisher {
 
 struct Options {
-  /// Candidates to test in THIS invocation (resume budgets add up).
+  /// Candidates to test before giving up with kExhaustedBudget.
   std::uint64_t max_candidates = std::uint64_t{1} << 17;
-  /// First rank to test — pass a previous run's frontier_rank to resume.
-  std::uint64_t start_rank = 0;
-  /// Candidates verified per parallel dispatch.  Any value yields the
-  /// same reported outcome; it only trades dispatch overhead against
-  /// speculative verification past the winner.
-  std::size_t chunk = 64;
-  /// Wall-clock deadline for this invocation; 0 disables.  A deadline
-  /// that fires makes the *stopping point* time-dependent (outcome
-  /// fields stay honest); the engines never set one.
-  double deadline_seconds = 0.0;
-  /// Optional pool for parallel verification; nullptr = serial (with
-  /// early exit at the first verified candidate).
-  runner::ThreadPool* pool = nullptr;
-  /// Cooperative cancellation (e.g. a campaign drain-stop).
-  const std::atomic<bool>* stop = nullptr;
 };
 
 template <typename Recovery>
@@ -79,176 +50,68 @@ struct FinishReport {
   std::vector<typename Recovery::StageKey> stage_keys;
 };
 
-template <typename Recovery>
-class ResidualFinisher {
- public:
-  using Block = typename Recovery::Block;
-  using StageKey = typename Recovery::StageKey;
-
-  ResidualFinisher(const target::RecoveryResult<Recovery>& partial,
-                   const Options& options)
-      : partial_(partial), opt_(options) {}
-
-  [[nodiscard]] FinishReport<Recovery> run() {
-    const auto t0 = std::chrono::steady_clock::now();
-    FinishReport<Recovery> rep;
-    FinisherStats& stats = rep.stats;
-    stats.frontier_rank = opt_.start_rank;
-
-    slots_ = build_slots(partial_);
-    for (const Slot<Recovery>& slot : slots_) {
-      if (slot.segment == 0) groups_.push_back(slot.stage);
-    }
-    std::vector<std::vector<std::uint32_t>> deltas;
-    deltas.reserve(slots_.size());
-    for (const Slot<Recovery>& slot : slots_) deltas.push_back(slot.deltas);
-    PenaltyEnumerator enumerator{std::move(deltas)};
-    stats.search_space_bits = enumerator.space_bits();
-
-    pts_.clear();
-    cts_.clear();
-    for (const KnownPair<Recovery>& pair : partial_.known_pairs) {
-      pts_.push_back(pair.plaintext);
-      cts_.push_back(pair.ciphertext);
-    }
-    if (slots_.empty() || pts_.empty() ||
-        partial_.stage_keys.size() != Recovery::kStages) {
-      stats.outcome = FinisherOutcome::kEvidenceInconsistent;
-      stats.wall_seconds = elapsed(t0);
-      return rep;
-    }
-    if (enumerator.skip(opt_.start_rank) < opt_.start_rank) {
-      // Resume point beyond the space: a previous run already exhausted
-      // it without a verified key.
-      stats.outcome = FinisherOutcome::kEvidenceInconsistent;
-      stats.wall_seconds = elapsed(t0);
-      return rep;
-    }
-
-    stats.outcome = FinisherOutcome::kExhaustedBudget;
-    const std::size_t n_slots = slots_.size();
-    const std::size_t chunk = std::max<std::size_t>(opt_.chunk, 1);
-    std::uint64_t rank = opt_.start_rank;  // rank of the next candidate
-    std::uint64_t tested = 0;
-    std::vector<std::uint32_t> ranks;
-    std::vector<std::uint32_t> chunk_ranks;  // n * n_slots, row-major
-    struct Verdict {
-      bool ok = false;
-      Key128 key{};
-      std::uint64_t offline = 0;
-    };
-    std::vector<Verdict> verdicts;
-
-    while (tested < opt_.max_candidates) {
-      if ((opt_.stop != nullptr &&
-           opt_.stop->load(std::memory_order_relaxed)) ||
-          (opt_.deadline_seconds > 0.0 &&
-           elapsed(t0) >= opt_.deadline_seconds)) {
-        stats.interrupted = true;
-        break;
-      }
-      const std::size_t want = static_cast<std::size_t>(
-          std::min<std::uint64_t>(chunk, opt_.max_candidates - tested));
-      chunk_ranks.clear();
-      std::size_t n = 0;
-      while (n < want && enumerator.next(ranks)) {
-        chunk_ranks.insert(chunk_ranks.end(), ranks.begin(), ranks.end());
-        ++n;
-      }
-      if (n == 0) {
-        // Ranked space exhausted with no candidate left to test.
-        stats.outcome = FinisherOutcome::kEvidenceInconsistent;
-        break;
-      }
-      verdicts.assign(n, Verdict{});
-      const auto verify_one = [&](std::size_t i) {
-        const std::vector<StageKey> keys = assemble(chunk_ranks, i, n_slots);
-        Verdict& v = verdicts[i];
-        v.ok = Recovery::finisher_verify(keys, pts_, cts_, v.key, v.offline);
-      };
-      if (opt_.pool != nullptr && n > 1) {
-        opt_.pool->parallel_for(n, verify_one);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          verify_one(i);
-          if (verdicts[i].ok) break;  // serial early exit; tail untested
-        }
-      }
-      // Deterministic scan in rank order: only the prefix through the
-      // lowest-rank winner enters the reported stats.
-      bool won = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        ++tested;
-        stats.offline_trials += verdicts[i].offline;
-        if (verdicts[i].ok) {
-          stats.outcome = FinisherOutcome::kRecovered;
-          stats.rank = rank + i;
-          rep.key = verdicts[i].key;
-          rep.stage_keys = assemble(chunk_ranks, i, n_slots);
-          rank += i + 1;
-          won = true;
-          break;
-        }
-      }
-      if (won) break;
-      rank += n;
-      if (n < want) {  // enumerator dried up inside this chunk
-        stats.outcome = FinisherOutcome::kEvidenceInconsistent;
-        break;
-      }
-    }
-
-    stats.candidates_tested = tested;
-    stats.frontier_rank = rank;
-    stats.wall_seconds = elapsed(t0);
-    return rep;
-  }
-
- private:
-  [[nodiscard]] static double elapsed(
-      std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  }
-
-  /// Full per-stage keys for chunk candidate i: the partial's keys with
-  /// every assumed stage rebuilt from the assignment's slot picks.
-  [[nodiscard]] std::vector<StageKey> assemble(
-      const std::vector<std::uint32_t>& chunk_ranks, std::size_t i,
-      std::size_t n_slots) const {
-    std::vector<StageKey> keys = partial_.stage_keys;
-    const std::uint32_t* row = chunk_ranks.data() + i * n_slots;
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-      std::array<target::CandidateMask<Recovery::kCandidatesPerSegment>,
-                 Recovery::kSegments>
-          picks{};
-      const std::size_t base = g * Recovery::kSegments;
-      for (unsigned s = 0; s < Recovery::kSegments; ++s) {
-        const Slot<Recovery>& slot = slots_[base + s];
-        picks[s].set_mask(static_cast<std::uint16_t>(
-            1u << slot.candidates[row[base + s]]));
-      }
-      keys[groups_[g]] = Recovery::stage_key_from(picks);
-    }
-    return keys;
-  }
-
-  const target::RecoveryResult<Recovery>& partial_;
-  Options opt_;
-  std::vector<Slot<Recovery>> slots_;
-  /// Assumed stage index per group of kSegments consecutive slots.
-  std::vector<unsigned> groups_;
-  std::vector<Block> pts_;
-  std::vector<Block> cts_;
-};
-
 /// Runs the maximum-likelihood residual search on a finish-mode partial.
 template <typename Recovery>
 [[nodiscard]] FinishReport<Recovery> finish_partial(
     const target::RecoveryResult<Recovery>& partial, const Options& options) {
-  ResidualFinisher<Recovery> finisher{partial, options};
-  return finisher.run();
+  const auto t0 = std::chrono::steady_clock::now();
+  FinishReport<Recovery> rep;
+  FinisherStats& stats = rep.stats;
+
+  const std::vector<Slot<Recovery>> slots = build_slots(partial);
+  std::vector<std::vector<std::uint32_t>> deltas;
+  deltas.reserve(slots.size());
+  for (const Slot<Recovery>& slot : slots) deltas.push_back(slot.deltas);
+  PenaltyEnumerator enumerator{std::move(deltas)};
+  stats.search_space_bits = enumerator.space_bits();
+
+  std::vector<typename Recovery::Block> pts;
+  std::vector<typename Recovery::Block> cts;
+  for (const KnownPair<Recovery>& pair : partial.known_pairs) {
+    pts.push_back(pair.plaintext);
+    cts.push_back(pair.ciphertext);
+  }
+  const bool searchable = !slots.empty() && !pts.empty() &&
+                          partial.stage_keys.size() == Recovery::kStages;
+  stats.outcome = searchable ? FinisherOutcome::kExhaustedBudget
+                             : FinisherOutcome::kEvidenceInconsistent;
+
+  std::vector<std::uint32_t> ranks;
+  while (searchable && stats.candidates_tested < options.max_candidates) {
+    if (!enumerator.next(ranks)) {
+      stats.outcome = FinisherOutcome::kEvidenceInconsistent;
+      break;
+    }
+    // The partial's keys with every assumed stage rebuilt from the
+    // assignment's picks; build_slots emits kSegments slots per stage.
+    std::vector<typename Recovery::StageKey> keys = partial.stage_keys;
+    for (std::size_t base = 0; base < slots.size();
+         base += Recovery::kSegments) {
+      std::array<target::CandidateMask<Recovery::kCandidatesPerSegment>,
+                 Recovery::kSegments>
+          picks{};
+      for (unsigned s = 0; s < Recovery::kSegments; ++s) {
+        const Slot<Recovery>& slot = slots[base + s];
+        picks[s].set_mask(static_cast<std::uint16_t>(
+            1u << slot.candidates[ranks[base + s]]));
+      }
+      keys[slots[base].stage] = Recovery::stage_key_from(picks);
+    }
+    ++stats.candidates_tested;
+    if (Recovery::finisher_verify(keys, pts, cts, rep.key,
+                                  stats.offline_trials)) {
+      stats.outcome = FinisherOutcome::kRecovered;
+      stats.rank = stats.candidates_tested - 1;
+      rep.stage_keys = std::move(keys);
+      break;
+    }
+  }
+
+  stats.frontier_rank = stats.candidates_tested;
+  stats.wall_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  return rep;
 }
 
 }  // namespace grinch::finisher

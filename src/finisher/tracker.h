@@ -23,13 +23,13 @@
 //    the engine can keep going — later stages then accrue evidence
 //    conditioned on the best available guess.
 //
-// After the stage loop the engine captures known pairs
-// (capture_known_pairs — observed through the possibly-faulty channel,
-// whose probe faults never touch the victim's encryption) and runs the
-// search inline via finish_with_residual_search().  Quota exhaustion
-// only ever triggers at the engines' budget checkpoints, where the RNG
-// sits exactly after the consumed craft sequence — which is what keeps
-// any-batch/any-width conformance intact in finish mode.
+// After the stage loop both engines call finish_with_known_pairs(): it
+// captures two known pairs (observed through the possibly-faulty
+// channel, whose probe faults never touch the victim's encryption) and
+// runs the search inline.  Quota exhaustion only ever triggers at the
+// engines' budget checkpoints, where the RNG sits exactly after the
+// consumed craft sequence — which is what keeps any-batch/any-width
+// conformance intact in finish mode.
 #pragma once
 
 #include <array>
@@ -135,25 +135,6 @@ class FinishTracker {
       presence_{};
 };
 
-/// Captures `count` exact plaintext/ciphertext pairs through the (maybe
-/// faulty) observation source.  The observations themselves may be
-/// corrupted or dropped — only the lazily-completed ciphertext matters,
-/// and probe faults never touch the victim's encryption.  Each pair
-/// costs one encryption; like the finalize verification observation it
-/// may exceed the elimination budget.
-template <typename Recovery>
-void capture_known_pairs(
-    target::ObservationSource<typename Recovery::Block>& source,
-    Xoshiro256& rng, unsigned count,
-    target::RecoveryResult<Recovery>& result) {
-  for (unsigned i = 0; i < count; ++i) {
-    const typename Recovery::Block pt = Recovery::random_block(rng);
-    (void)source.observe(pt, 0);
-    ++result.total_encryptions;
-    result.known_pairs.push_back({pt, source.last_ciphertext()});
-  }
-}
-
 /// Runs the residual search on a finish-mode partial and folds the
 /// outcome back into the result (offline accounting summed, residual
 /// bits refined to the searched joint space, key fields set on
@@ -171,6 +152,28 @@ void finish_with_residual_search(target::RecoveryResult<Recovery>& result,
     result.success = true;
     result.key_verified = true;
   }
+}
+
+/// The engines' finish step once a stage was ML-assumed: records the
+/// stage keys, captures two exact plaintext/ciphertext pairs through the
+/// (maybe faulty) source and runs the residual search.  The observations
+/// themselves may be corrupted or dropped; only the lazily-completed
+/// ciphertext matters.  Each pair costs one encryption and, like the
+/// finalize verification observation, may exceed the elimination budget.
+template <typename Recovery>
+void finish_with_known_pairs(
+    target::ObservationSource<typename Recovery::Block>& source,
+    Xoshiro256& rng,
+    const std::vector<typename Recovery::StageKey>& stage_keys,
+    std::uint64_t max_candidates, target::RecoveryResult<Recovery>& result) {
+  result.stage_keys = stage_keys;
+  for (unsigned i = 0; i < 2; ++i) {
+    const typename Recovery::Block pt = Recovery::random_block(rng);
+    (void)source.observe(pt, 0);
+    ++result.total_encryptions;
+    result.known_pairs.push_back({pt, source.last_ciphertext()});
+  }
+  finish_with_residual_search(result, Options{max_candidates});
 }
 
 }  // namespace grinch::finisher

@@ -58,8 +58,7 @@ target::Observation SingleCoreSoC::observe(std::uint64_t plaintext,
   std::uint64_t attacker_cycles = 0;
   // The attacker's previous quantum ends just before the victim's next one
   // begins; its last action is preparing the monitored lines (flush or
-  // prime).  With use_flush=false the prepare still runs once here —
-  // modelling an attacker that never flushes *during* the encryption.
+  // prime), so every observation prepares before the victim's quantum.
   attacker_cycles += prober_->prepare();
 
   // The probe moment emerges from scheduling, so the victim cannot be

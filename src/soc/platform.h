@@ -37,7 +37,6 @@ class SingleCoreSoC final
     gift::TableLayout layout;
     RtosConfig rtos;
     VictimCostModel cost = VictimCostModel::paper_calibrated();
-    bool use_flush = true;
     target::ProbeMethod method = target::ProbeMethod::kFlushReload;
   };
 

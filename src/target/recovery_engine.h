@@ -73,14 +73,17 @@
 //  * a segment whose mask empties resets (counted per segment and in
 //    RecoveryResult::noise_restarts); a segment that keeps resetting
 //    backs off — speculation collapses to scalar and its effective vote
-//    threshold escalates (Config::backoff_resets / max_vote_threshold);
-//  * a segment stuck without mask progress for Config::stall_limit
-//    updates resets too (false presents can wedge a candidate alive);
+//    threshold escalates (kBackoffResets / kMaxVoteThreshold in
+//    target/stage_state.h);
+//  * a segment stuck without mask progress for kStallLimit updates
+//    (times the threshold) resets too (false presents can wedge a
+//    candidate alive);
 //  * on budget exhaustion the result is *partial*, not a bare failure:
 //    RecoveryResult carries the failed stage, its surviving candidate
 //    masks, and the residual brute-force cost in bits.
-// With all fault rates zero and the default knobs, every path above is
-// inert and the engine is byte-identical to the clean-channel core.
+// With all fault rates zero and the default vote_threshold, every path
+// above is inert on the paper's cache and the engine is byte-identical to
+// the clean-channel core.
 //
 // The GIFT-64 paper pipeline with its full noise machinery (cross-round
 // solving, statistical elimination) remains in attack::GrinchAttack.
@@ -121,19 +124,6 @@ class KeyRecoveryEngine {
     /// evictions fake absences (see attack::eliminate_candidates_voted,
     /// whose semantics this ports segment-locally).
     unsigned vote_threshold = 1;
-    /// Ceiling for per-segment threshold escalation under backoff.
-    unsigned max_vote_threshold = 6;
-    /// A segment resetting this many times within one stage escalates
-    /// its effective vote threshold by one (up to max_vote_threshold)
-    /// and collapses speculation to scalar for the next batch.  0
-    /// disables escalation.
-    unsigned backoff_resets = 6;
-    /// Updates of one unresolved segment without any mask change before
-    /// the engine declares it stalled and resets it.  0 disables stall
-    /// detection.  The default never triggers on a clean channel (a
-    /// clean observation of an unresolved segment prunes with
-    /// probability bounded well away from 0).
-    unsigned stall_limit = 512;
     /// Channel fault injection (target/fault_model.h).  All-zero rates =
     /// clean channel: no decorator is interposed and the engine is
     /// byte-identical to the pre-fault-layer core.
@@ -150,11 +140,6 @@ class KeyRecoveryEngine {
     /// Candidates the inline finisher may test (finisher::Options::
     /// max_candidates).
     std::uint64_t finish_max_candidates = std::uint64_t{1} << 17;
-    /// Optional thread pool for parallel finisher verification; the
-    /// reported outcome is byte-identical at any thread count (and to
-    /// the serial nullptr path).  Must be null when the engine itself
-    /// runs inside a pool task (runner::ThreadPool does not nest).
-    runner::ThreadPool* finish_pool = nullptr;
 
     /// Knobs documented for noisy channels (docs/ROBUSTNESS.md): voted
     /// elimination at threshold 2, everything else default — backoff and
@@ -187,12 +172,8 @@ class KeyRecoveryEngine {
     Block last_pt{};
     bool observed_any = false;
     const unsigned max_batch = std::max(config_.max_batch, 1u);
-    const ElimParams params{
-        std::max(config_.vote_threshold, 1u),
-        std::max(config_.max_vote_threshold,
-                 std::max(config_.vote_threshold, 1u)),
-        config_.backoff_resets, config_.stall_limit};
-    // Run-level escalation: every backoff_resets full-attack restarts
+    const ElimParams params{config_.vote_threshold};
+    // Run-level escalation: every kBackoffResets full-attack restarts
     // (wrong key failed verification) harden elimination one notch more.
     unsigned attempt_extra = 0;
     // Finish mode (Config::finish_partials): per-stage budget quotas +
@@ -319,16 +300,10 @@ class KeyRecoveryEngine {
 
       if (finishing && tracker.any_assumed()) {
         // At least one stage ran out of quota and was ML-assumed: the
-        // channel alone cannot verify this attempt.  Capture exact
-        // pairs and run the residual search inline (serial here — the
-        // engine may itself be a pool task; Config::finish_pool
-        // parallelizes verification without changing any outcome).
-        result.stage_keys = recovered;
-        finisher::capture_known_pairs<Recovery>(source, rng_, 2, result);
-        finisher::Options finish_options;
-        finish_options.max_candidates = config_.finish_max_candidates;
-        finish_options.pool = config_.finish_pool;
-        finisher::finish_with_residual_search(result, finish_options);
+        // channel alone cannot verify this attempt; the residual search
+        // does.
+        finisher::finish_with_known_pairs<Recovery>(
+            source, rng_, recovered, config_.finish_max_candidates, result);
         return result;
       }
 
@@ -347,8 +322,7 @@ class KeyRecoveryEngine {
       // the whole recovery (the fault streams keep advancing, so the next
       // attempt sees different noise) and periodically harden elimination.
       ++result.verify_restarts;
-      if (config_.backoff_resets > 0 &&
-          result.verify_restarts % config_.backoff_resets == 0 &&
+      if (result.verify_restarts % kBackoffResets == 0 &&
           params.base_threshold + attempt_extra < params.threshold_cap) {
         ++attempt_extra;
       }

@@ -96,13 +96,28 @@ struct RecoveryResult {
   finisher::FinisherStats finisher;
 };
 
-/// The engine-config-derived elimination knobs StageState needs; built
-/// once per run from KeyRecoveryEngine::Config.
+/// Ceiling for a segment's effective vote threshold under backoff.
+inline constexpr unsigned kMaxVoteThreshold = 6;
+/// Segment resets within one stage, or full-attack verify restarts, per
+/// backoff step: each step raises the effective vote threshold by one.
+inline constexpr unsigned kBackoffResets = 6;
+/// Updates of one unresolved segment without a mask change, times the
+/// effective threshold, before the segment counts as stalled and resets.
+/// On the paper's cache a clean observation of an unresolved segment
+/// prunes with probability bounded well away from 0, so a clean run never
+/// gets here; a next-line prefetcher can keep a wrong candidate's line
+/// present, and then even a clean run resets through it.
+inline constexpr unsigned kStallLimit = 512;
+
+/// The elimination thresholds StageState needs; both engines build them
+/// once per run from Config::vote_threshold.
 struct ElimParams {
-  unsigned base_threshold = 1;  ///< max(vote_threshold, 1)
-  unsigned threshold_cap = 6;   ///< max(max_vote_threshold, base_threshold)
-  unsigned backoff_resets = 6;  ///< segment resets per escalation; 0 = off
-  unsigned stall_limit = 512;   ///< no-progress updates before reset; 0 = off
+  explicit ElimParams(unsigned vote_threshold)
+      : base_threshold(std::max(vote_threshold, 1u)),
+        threshold_cap(std::max(kMaxVoteThreshold, base_threshold)) {}
+
+  unsigned base_threshold;  ///< max(vote_threshold, 1)
+  unsigned threshold_cap;   ///< max(kMaxVoteThreshold, base_threshold)
 };
 
 /// Precomputed hard-elimination table for one Recovery: for pre-key
@@ -197,8 +212,7 @@ struct StageState {
     reset_in_batch = true;
     // Segment-level backoff: a segment that keeps resetting faces a
     // channel its current threshold cannot beat — escalate it.
-    if (params.backoff_resets > 0 &&
-        stage_resets[s] % params.backoff_resets == 0 &&
+    if (stage_resets[s] % kBackoffResets == 0 &&
         params.base_threshold + attempt_extra + extra_threshold[s] <
             params.threshold_cap) {
       ++extra_threshold[s];
@@ -265,8 +279,7 @@ struct StageState {
           // scales with the threshold — voted elimination legitimately
           // spaces mask changes ~threshold times further apart than hard
           // elimination does.
-          if (params.stall_limit > 0 &&
-              ++stagnant[s] >= params.stall_limit * threshold) {
+          if (++stagnant[s] >= kStallLimit * threshold) {
             reset_segment(s, params, attempt_extra, result);
           }
         } else {

@@ -83,10 +83,7 @@ class WideRecoveryEngine {
         cipher_(platform_config.layout),
         line_ids_(compute_index_line_ids(platform_config.layout,
                                          platform_config.cache.line_bytes)),
-        params_{std::max(config.vote_threshold, 1u),
-                std::max(config.max_vote_threshold,
-                         std::max(config.vote_threshold, 1u)),
-                config.backoff_resets, config.stall_limit},
+        params_{config.vote_threshold},
         faulted_(config.faults.any()),
         finishing_(config.finish_partials),
         core_(platform_config.cache, platform_config.layout) {
@@ -329,8 +326,7 @@ class WideRecoveryEngine {
     // Wrong key locked in by the channel: restart the whole recovery with
     // budget left, periodically hardening elimination.
     ++result.verify_restarts;
-    if (config_.backoff_resets > 0 &&
-        result.verify_restarts % config_.backoff_resets == 0 &&
+    if (result.verify_restarts % kBackoffResets == 0 &&
         params_.base_threshold + lane.attempt_extra < params_.threshold_cap) {
       ++lane.attempt_extra;
     }
@@ -346,19 +342,13 @@ class WideRecoveryEngine {
     }
   }
 
-  /// Finish-mode lane completion: record the (partly assumed) stage
-  /// keys, capture exact pairs through the lane's channel, and run the
-  /// maximum-likelihood residual search inline (scalar-engine
-  /// semantics, finisher/tracker.h).
+  /// Finish-mode lane completion through the lane's channel, with the
+  /// scalar engine's finish step (finisher/tracker.h).
   void finish_lane(Lane& lane) {
-    RecoveryResult<Recovery>& result = lane.result;
-    result.stage_keys = lane.recovered;
     LaneSource source{this, &lane};
-    finisher::capture_known_pairs<Recovery>(source, lane.rng, 2, result);
-    finisher::Options finish_options;
-    finish_options.max_candidates = config_.finish_max_candidates;
-    finish_options.pool = config_.finish_pool;
-    finisher::finish_with_residual_search(result, finish_options);
+    finisher::finish_with_known_pairs<Recovery>(
+        source, lane.rng, lane.recovered, config_.finish_max_candidates,
+        lane.result);
     lane.done = true;
   }
 

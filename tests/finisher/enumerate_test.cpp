@@ -1,8 +1,7 @@
 // PenaltyEnumerator unit suite (finisher/enumerate.h): the maximum-
 // likelihood enumeration order is exactly (total penalty ascending,
-// rank vector lexicographically ascending), every assignment appears
-// exactly once, and skip() is equivalent to discarding that many
-// next() calls — the property the finisher's resume contract rests on.
+// rank vector lexicographically ascending), and every assignment appears
+// exactly once.
 #include "finisher/enumerate.h"
 
 #include <gtest/gtest.h>
@@ -93,26 +92,6 @@ TEST(FinisherEnumerate, PenaltyIsMonotone) {
     }
     EXPECT_EQ(total, enumerator.penalty());
     last = enumerator.penalty();
-  }
-}
-
-TEST(FinisherEnumerate, SkipIsEquivalentToDiscardingNexts) {
-  const Deltas deltas = {{0, 1, 3}, {0, 2, 2}, {0, 0, 5}, {0, 4}};
-  PenaltyEnumerator reference{deltas};
-  const std::vector<Ranks> all = drain(reference);
-  for (std::uint64_t k : {std::uint64_t{0}, std::uint64_t{1},
-                          std::uint64_t{7}, all.size() - 1, all.size(),
-                          all.size() + 5}) {
-    PenaltyEnumerator skipped{deltas};
-    const std::uint64_t done = skipped.skip(k);
-    EXPECT_EQ(done, std::min<std::uint64_t>(k, all.size())) << "k=" << k;
-    Ranks ranks;
-    if (k < all.size()) {
-      ASSERT_TRUE(skipped.next(ranks)) << "k=" << k;
-      EXPECT_EQ(ranks, all[k]) << "k=" << k;
-    } else {
-      EXPECT_FALSE(skipped.next(ranks)) << "k=" << k;
-    }
   }
 }
 

@@ -30,16 +30,14 @@
 //
 // Each command takes only the options listed for it: any other `--flag`
 // exits 2 with `unknown --<flag>`, and so does a numeric option whose value
-// is not a whole number, with `bad --<flag>`.
+// is not a whole number or does not fit its field, with `bad --<flag>`.
 //
 // Exit code 0 on success (for `attack`: key recovered and verified).
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -100,18 +98,6 @@ const std::map<std::string, Accepted>& commands() {
   return table;
 }
 
-/// A whole number in C notation, and nothing after it.
-std::optional<std::uint64_t> parse_whole(const std::string& text) {
-  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(text.c_str(), &end, 0);
-  if (errno == ERANGE || *end != '\0') return std::nullopt;
-  return value;
-}
-
 struct Args {
   std::vector<std::string> positionals;  ///< bare words after the command
   std::map<std::string, std::string> options;
@@ -126,7 +112,20 @@ struct Args {
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : parse_whole(it->second).value();
+    return it == options.end() ? fallback : parse_whole_u64(it->second).value();
+  }
+  /// A numeric option for an `unsigned` field: a value that does not fit
+  /// exits 2 with `bad --<flag>`.
+  [[nodiscard]] unsigned get_unsigned(const std::string& key,
+                                      unsigned fallback) const {
+    const std::uint64_t value = get_u64(key, fallback);
+    if (value > std::numeric_limits<unsigned>::max()) {
+      std::fprintf(stderr, "bad --%s (need at most %u, got %llu)\n",
+                   key.c_str(), std::numeric_limits<unsigned>::max(),
+                   static_cast<unsigned long long>(value));
+      std::exit(2);
+    }
+    return static_cast<unsigned>(value);
   }
   [[nodiscard]] bool has(const std::string& flag) const {
     return flags.count(flag) > 0;
@@ -165,7 +164,7 @@ bool parse(int argc, char** argv, int first, const std::string& name,
       return false;
     }
     const std::string value = argv[++i];
-    if (numeric && !parse_whole(value)) {
+    if (numeric && !parse_whole_u64(value)) {
       std::fprintf(stderr, "bad --%s (need a whole number, got '%s')\n",
                    key.c_str(), value.c_str());
       return false;
@@ -244,8 +243,7 @@ int cmd_attack(const Args& args) {
   // The ranges CampaignSpec::validate enforces.
   const std::uint64_t stages = args.get_u64("stages", 4);
   const std::uint64_t line_words = args.get_u64("line-words", 1);
-  const auto probing_round =
-      static_cast<unsigned>(args.get_u64("probing-round", 1));
+  const unsigned probing_round = args.get_unsigned("probing-round", 1);
   if (stages < 1 || stages > 4) {
     std::fprintf(stderr, "bad --stages (need 1 to 4)\n");
     return 2;
@@ -266,8 +264,7 @@ int cmd_attack(const Args& args) {
   pcfg.use_flush = !args.has("no-flush");
   if (args.has("prime-probe")) pcfg.method = target::ProbeMethod::kPrimeProbe;
   if (args.has("precise")) pcfg.precise_probe = true;
-  pcfg.noise_accesses_per_round =
-      static_cast<unsigned>(args.get_u64("noise", 0));
+  pcfg.noise_accesses_per_round = args.get_unsigned("noise", 0);
   target::Gift64Platform platform{pcfg, key};
 
   attack::GrinchConfig acfg;
@@ -321,7 +318,7 @@ void apply_fault_args(const Args& args, Config& cfg) {
   const unsigned fallback =
       cfg.faults.any() ? Config::noisy_defaults().vote_threshold
                        : cfg.vote_threshold;
-  cfg.vote_threshold = static_cast<unsigned>(args.get_u64("vote", fallback));
+  cfg.vote_threshold = args.get_unsigned("vote", fallback);
 }
 
 /// --finish arms the residual finisher (finish mode reserves evidence and
@@ -513,18 +510,14 @@ campaign::CampaignSpec spec_from_args(const Args& args) {
   spec.trials = args.get_u64("trials", spec.trials);
   spec.seed = args.get_u64("seed", spec.seed);
   spec.fault_seed = args.get_u64("fault-seed", spec.fault_seed);
-  spec.wide_width =
-      static_cast<unsigned>(args.get_u64("wide", spec.wide_width));
+  spec.wide_width = args.get_unsigned("wide", spec.wide_width);
   spec.budget = args.get_u64("budget", spec.budget);
   spec.fault_profile = args.get("fault-profile", spec.fault_profile);
-  spec.vote_threshold =
-      static_cast<unsigned>(args.get_u64("vote", spec.vote_threshold));
+  spec.vote_threshold = args.get_unsigned("vote", spec.vote_threshold);
   if (args.has("finish")) spec.finish = true;
   spec.finish_budget = args.get_u64("finish-budget", spec.finish_budget);
-  spec.line_words =
-      static_cast<unsigned>(args.get_u64("line-words", spec.line_words));
-  spec.probing_round = static_cast<unsigned>(
-      args.get_u64("probing-round", spec.probing_round));
+  spec.line_words = args.get_unsigned("line-words", spec.line_words);
+  spec.probing_round = args.get_unsigned("probing-round", spec.probing_round);
   std::string err;
   if (!spec.validate(&err)) {
     std::fprintf(stderr, "bad campaign spec: %s\n", err.c_str());
@@ -557,7 +550,7 @@ int run_or_resume_campaign(const campaign::CampaignSpec& spec,
   opts.results_path = args.get("out", spec.name + ".jsonl");
   opts.checkpoint_path =
       args.get("checkpoint", opts.results_path + ".ckpt");
-  opts.threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  opts.threads = args.get_unsigned("threads", 0);
   opts.checkpoint_every_shards =
       static_cast<std::size_t>(args.get_u64("checkpoint-every", 8));
   opts.progress = args.has("progress");

@@ -28,22 +28,41 @@
 // Exit status: 0 when every analyzed target matches its registered
 // expectation AND the static and dynamic passes agree (for quantify: every
 // measured leak matches its declared budget and stays under the taint
-// bound); 1 otherwise; 2 on usage errors.  CI runs this over all targets
+// bound); 1 otherwise; 2 on usage errors, among them a numeric option
+// whose value is not a whole number that fits its field (`bad --<flag>`).  CI runs this over all targets
 // so reintroducing a secret-dependent lookup into a protected
 // implementation — or silently changing how much one leaks — fails the
 // build.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/leakcheck.h"
 #include "analysis/quantify.h"
+#include "common/hex.h"
 
 using namespace grinch;
 
 namespace {
+
+/// Reads a whole number in C notation (decimal, 0x hex or 0-prefixed
+/// octal) into `out`.  Anything after the number, or a value that does
+/// not fit `out`, prints `bad --<flag>` and returns false.
+template <typename T>
+bool read_whole(const std::string& flag, const char* text, T& out) {
+  const std::optional<std::uint64_t> value = parse_whole_u64(text);
+  if (!value || *value > std::numeric_limits<T>::max()) {
+    std::fprintf(stderr, "bad %s (need a whole number that fits, got '%s')\n",
+                 flag.c_str(), text);
+    return false;
+  }
+  out = static_cast<T>(*value);
+  return true;
+}
 
 int usage() {
   std::fprintf(stderr,
@@ -110,17 +129,16 @@ int quantify_main(int argc, char** argv) {
     } else if (arg == "--rounds") {
       const char* v = value();
       if (v == nullptr) return quantify_usage();
-      cfg.rounds = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+      if (!read_whole(arg, v, cfg.rounds)) return 2;
     } else if (arg == "--samples") {
       const char* v = value();
       if (v == nullptr) return quantify_usage();
-      cfg.sample_budget =
-          static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+      if (!read_whole(arg, v, cfg.sample_budget)) return 2;
       if (cfg.sample_budget == 0) cfg.run_sampled = false;
     } else if (arg == "--sample-seed") {
       const char* v = value();
       if (v == nullptr) return quantify_usage();
-      cfg.sample_seed = std::strtoull(v, nullptr, 0);
+      if (!read_whole(arg, v, cfg.sample_seed)) return 2;
     } else if (arg == "--expect-sbox-bits") {
       const char* v = value();
       if (v == nullptr) return quantify_usage();
@@ -220,7 +238,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trials") {
       const char* v = value();
       if (v == nullptr) return usage();
-      cfg.diff.trials = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+      if (!read_whole(arg, v, cfg.diff.trials)) return 2;
       if (cfg.diff.trials == 0) {
         std::fprintf(stderr,
                      "leakcheck: --trials must be >= 1 "
@@ -230,12 +248,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--rounds") {
       const char* v = value();
       if (v == nullptr) return usage();
-      cfg.analysis_rounds =
-          static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+      if (!read_whole(arg, v, cfg.analysis_rounds)) return 2;
     } else if (arg == "--seed") {
       const char* v = value();
       if (v == nullptr) return usage();
-      cfg.diff.seed = std::strtoull(v, nullptr, 0);
+      if (!read_whole(arg, v, cfg.diff.seed)) return 2;
     } else {
       return usage();
     }
