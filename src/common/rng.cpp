@@ -1,13 +1,6 @@
 #include "common/rng.h"
 
 namespace grinch {
-namespace {
-
-constexpr std::uint64_t rotl64(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   SplitMix64 sm{seed};
@@ -15,18 +8,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   // All-zero state is the one forbidden state; SplitMix64 cannot produce
   // four consecutive zeros, but guard anyway for belt and braces.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9E3779B97F4A7C15ull;
-}
-
-std::uint64_t Xoshiro256::next() noexcept {
-  const std::uint64_t result = rotl64(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl64(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Xoshiro256::uniform(std::uint64_t bound) noexcept {

@@ -6,6 +6,7 @@
 // figure in EXPERIMENTS.md can be regenerated bit-for-bit.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/key128.h"
@@ -40,7 +41,19 @@ class Xoshiro256 {
   static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
 
   std::uint64_t operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+
+  /// Inline: crafters and the fault channel draw per observation.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Unbiased uniform draw in [0, bound). Precondition: bound > 0.
   std::uint64_t uniform(std::uint64_t bound) noexcept;
@@ -59,6 +72,9 @@ class Xoshiro256 {
 
   /// Splits off an independent generator (for per-trial streams).
   Xoshiro256 split() noexcept { return Xoshiro256{next()}; }
+
+  /// Same state, so the same stream from here on.
+  friend bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
 
  private:
   std::uint64_t s_[4];

@@ -15,6 +15,15 @@
 // corruption is a pure function of the delivered-observation sequence.
 // State is value-copyable: save()/restore() give the decorator its
 // checkpoint/rewind discipline for speculative batches.
+//
+// Because no draw reads the observation, one delivery splits in two:
+// draw() makes every random decision of the next observation before the
+// probe runs, and apply() delivers the probe through them; corrupt() is
+// apply(draw(), o).  A draw that discards_probe() — a burst, a drop, or a
+// stale replay once an earlier delivery exists — delivers the same
+// observation and leaves the same state whatever the probe read, so the
+// wide engine does not simulate that encryption at all on caches where
+// skipping it changes no later verdict (target/wide_engine.h).
 #pragma once
 
 #include <array>
@@ -42,6 +51,8 @@ class FaultChannel {
     std::uint64_t burst_corrupted = 0;  ///< observations inside a burst
     std::uint64_t lines_flipped_absent = 0;
     std::uint64_t lines_flipped_present = 0;
+
+    bool operator==(const Stats&) const = default;
   };
 
   /// Everything a rewind must restore: the five sub-streams, the burst
@@ -53,6 +64,21 @@ class FaultChannel {
     LineSet last_present;
     bool has_last = false;
     Stats stats;
+
+    bool operator==(const State&) const = default;
+  };
+
+  /// One observation's fault decisions, made before its probe runs.
+  /// Precedence among the whole-observation modes is burst > dropped >
+  /// stale (a preempted attacker cannot also probe).
+  struct Draw {
+    std::uint64_t garbage = 0;      ///< burst occupancy, one bit per row
+    std::uint64_t evict_mask = 0;   ///< rows of lines flipped absent
+    std::uint64_t inject_mask = 0;  ///< rows of lines flipped present
+    bool burst_started = false;     ///< a burst window opens here
+    bool burst = false;             ///< inside a burst: deliver garbage
+    bool dropped = false;           ///< the probe missed the window
+    bool stale = false;             ///< replay the previous delivery
   };
 
   /// Line grouping: rows of the observation bitset that share a cache
@@ -82,76 +108,88 @@ class FaultChannel {
     line_masks_.assign(mask_of_line.begin(), mask_of_line.begin() + lines);
   }
 
-  /// Applies one observation's worth of faults in place, advancing every
-  /// enabled sub-stream by its fixed draw count.
-  void corrupt(Observation& o) {
+  /// Makes every draw of the next observation without reading it,
+  /// advancing each enabled sub-stream by its fixed draw count.  Each
+  /// draw() must be delivered by exactly one apply() before the next.
+  [[nodiscard]] Draw draw() {
     State& ch = state_;
-    ++ch.stats.observations;
-
+    Draw d;
     // Fixed draw schedule: each enabled mode draws regardless of what the
     // other modes decided, so the streams stay independent of each
-    // other's rates.  Precedence among the whole-observation modes is
-    // burst > dropped > stale (a preempted attacker cannot also probe).
-    bool burst_now = ch.burst_remaining > 0;
-    if (profile_.burst_rate > 0.0 && !burst_now &&
+    // other's rates.
+    if (profile_.burst_rate > 0.0 && ch.burst_remaining == 0 &&
         hit(ch.burst_rng, profile_.burst_rate)) {
       ch.burst_remaining = profile_.burst_length;
-      ++ch.stats.bursts;
-      burst_now = ch.burst_remaining > 0;
+      d.burst_started = true;
     }
-    const bool drop_now =
+    d.dropped =
         profile_.dropped_rate > 0.0 && hit(ch.drop_rng, profile_.dropped_rate);
-    const bool stale_now =
+    d.stale =
         profile_.stale_rate > 0.0 && hit(ch.stale_rng, profile_.stale_rate);
-    std::uint64_t evict_mask = 0;
-    std::uint64_t inject_mask = 0;
     if (profile_.false_absent_rate > 0.0) {
       for (const std::uint64_t m : line_masks_) {
-        if (hit(ch.absent_rng, profile_.false_absent_rate)) evict_mask |= m;
+        if (hit(ch.absent_rng, profile_.false_absent_rate)) d.evict_mask |= m;
       }
     }
     if (profile_.false_present_rate > 0.0) {
       for (const std::uint64_t m : line_masks_) {
-        if (hit(ch.present_rng, profile_.false_present_rate)) inject_mask |= m;
-      }
-    }
-
-    if (burst_now) {
-      --ch.burst_remaining;
-      ++ch.stats.burst_corrupted;
-      // Scheduler preemption: the probe reports uniform garbage occupancy.
-      LineSet garbage;
-      garbage.assign(rows_, false);
-      for (const std::uint64_t m : line_masks_) {
-        if (ch.burst_rng.coin() != 0) {
-          for (unsigned r = 0; r < rows_; ++r) {
-            if ((m >> r) & 1u) garbage.set(r, true);
-          }
+        if (hit(ch.present_rng, profile_.false_present_rate)) {
+          d.inject_mask |= m;
         }
       }
-      o.present = garbage;
-    } else if (drop_now) {
+    }
+    if (ch.burst_remaining > 0) {
+      --ch.burst_remaining;
+      d.burst = true;
+      // Scheduler preemption: the probe reports uniform garbage occupancy.
+      for (const std::uint64_t m : line_masks_) {
+        if (ch.burst_rng.coin() != 0) d.garbage |= m;
+      }
+    }
+    return d;
+  }
+
+  /// True when `d` delivers the same observation and leaves the same
+  /// state whatever the probe read: a burst, a drop, or a stale replay
+  /// of an earlier delivery (the first delivery has none to replay, so a
+  /// stale draw there still delivers the probe).
+  [[nodiscard]] bool discards_probe(const Draw& d) const noexcept {
+    return d.burst || d.dropped || (d.stale && state_.has_last);
+  }
+
+  /// Delivers one observation through the draw made for it, in place.
+  void apply(const Draw& d, Observation& o) {
+    State& ch = state_;
+    ++ch.stats.observations;
+    if (d.burst_started) ++ch.stats.bursts;
+    if (d.burst) {
+      ++ch.stats.burst_corrupted;
+      o.present = LineSet::from_word(d.garbage, rows_);
+    } else if (d.dropped) {
       ++ch.stats.dropped;
       // The probe missed the window: flag it (detectable) and report the
       // uninformative all-present set in case a consumer looks anyway.
       o.dropped = true;
       o.present.assign(rows_, true);
-    } else if (stale_now && ch.has_last) {
+    } else if (d.stale && ch.has_last) {
       ++ch.stats.stale;
       o.present = ch.last_present;
     } else {
       const std::uint64_t before = o.present.word();
-      const std::uint64_t after = (before & ~evict_mask) | inject_mask;
+      const std::uint64_t after = (before & ~d.evict_mask) | d.inject_mask;
       ch.stats.lines_flipped_absent +=
-          static_cast<std::uint64_t>(std::popcount(before & evict_mask));
+          static_cast<std::uint64_t>(std::popcount(before & d.evict_mask));
       ch.stats.lines_flipped_present +=
-          static_cast<std::uint64_t>(std::popcount(inject_mask & ~before));
+          static_cast<std::uint64_t>(std::popcount(d.inject_mask & ~before));
       o.present = LineSet::from_word(after, rows_);
     }
 
     ch.last_present = o.present;
     ch.has_last = true;
   }
+
+  /// Applies one observation's worth of faults in place.
+  void corrupt(Observation& o) { apply(draw(), o); }
 
   [[nodiscard]] const State& state() const noexcept { return state_; }
   void restore(const State& state) { state_ = state; }

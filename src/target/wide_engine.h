@@ -17,9 +17,12 @@
 // where cfg_i is this engine's Config with seed = specs[i].seed and
 // faults.seed = specs[i].fault_seed — for every registered cipher, any
 // width, with or without faults (tests/target/wide_conformance_test.cpp).
-// Each lane replicates the scalar engine at max_batch = 1, which the
-// scalar engine's speculative batching reproduces bit-identically for
-// any max_batch, so the equality holds against default configs too.
+// Each lane replicates the scalar engine at max_batch = 1.  On LRU
+// caches without a prefetcher the scalar engine's speculative batching
+// reproduces that bit-identically for any max_batch, so the equality
+// holds against default configs there; on FIFO and prefetching caches
+// the scalar engine's discarded speculative encryptions still advance
+// its cache, and only max_batch = 1 is the reference.
 // Per-lane fault channels (target/fault_channel.h) see exactly the
 // scalar decorator's delivery sequence, including the finalize
 // verification observation.
@@ -31,6 +34,22 @@
 // across group steps as a scalar trial's does, so the results stay
 // bit-identical to scalar trials on every cache configuration (see
 // wide_observe.h).
+//
+// Discarded probes are not simulated.  A faulted lane draws its next
+// observation's faults right after crafting the plaintext
+// (FaultChannel::draw(), which never reads the observation).  When the
+// draw discards the probe — a burst, a drop, or a stale replay of an
+// earlier delivery — the delivered observation does not depend on what
+// the probe would have read, so on a supported() cache (LRU, no
+// prefetcher) the lane's encryption stays out of the core run and the
+// lane consumes apply(draw, Observation{}).  That is exact: the
+// shortcut writes no state, and by the recency-stack argument in
+// wide_observe.h a skipped job that would have run on the lane's scalar
+// platform cannot change a later verdict or cycle count there.  On
+// other caches the lane's warm history is load-bearing, so every job
+// runs.  The skipped lane still crafts (its RNG stream and last
+// plaintext depend on it) and still pays the encryption from its
+// budget; its ciphertext completes lazily like a partial-round one.
 //
 // The wide path models the default probe only.  A platform config that
 // sets a probe option (Prime+Probe, precise probing, trace capture,
@@ -86,6 +105,8 @@ class WideRecoveryEngine {
         params_{config.vote_threshold},
         faulted_(config.faults.any()),
         finishing_(config.finish_partials),
+        skip_discarded_(
+            WideObserveCore<Recovery>::supported(platform_config.cache)),
         core_(platform_config.cache, platform_config.layout) {
     if (platform_config.has_probe_options()) {
       throw std::invalid_argument(
@@ -129,6 +150,10 @@ class WideRecoveryEngine {
     /// (keys the persistent per-lane scalar cache state).
     unsigned slot = 0;
     std::optional<FaultChannel> channel;
+    /// This step's fault draw (faulted lanes), made before the probe.
+    FaultChannel::Draw draw;
+    /// This step's probe is discarded and its encryption not simulated.
+    bool skipped = false;
     StageState<Recovery> st;
     std::vector<typename Recovery::StageKey> recovered;
     RecoveryResult<Recovery> result;
@@ -233,28 +258,43 @@ class WideRecoveryEngine {
         }
         lane.pending_pt =
             lane.crafter.craft(lane.st.cursor, lane.recovered, lane.stage);
+        active.push_back(&lane);
+        if (lane.channel.has_value()) {
+          lane.draw = lane.channel->draw();
+          lane.skipped =
+              skip_discarded_ && lane.channel->discards_probe(lane.draw);
+          if (lane.skipped) continue;
+        }
         const ProbeWindow window = probe_window_for<Recovery>(
             lane.stage, platform_config_.probing_round);
         jobs_.push_back({&lane.schedule, lane.pending_pt, window,
                          platform_config_.use_flush ? window.monitored_from
                                                     : 0,
                          lane.slot});
-        active.push_back(&lane);
       }
       if (active.empty()) break;
 
-      // Observe: every active lane's encryption in one core run (jobs
+      // Observe: every simulated lane's encryption in one core run (jobs
       // the shortcut cannot serve advance their lane's scalar cache).
       core_.run(std::span<const Job>(jobs_), wide_batch_, states_.data());
 
-      // Scatter: per lane, corrupt (own channel), consume, advance.
-      for (std::size_t l = 0; l < active.size(); ++l) {
-        Lane& lane = *active[l];
-        Observation obs = wide_batch_.extract(static_cast<unsigned>(l));
+      // Scatter: per lane, deliver through its own channel, consume,
+      // advance.  Simulated lanes take their core results in job order.
+      unsigned job = 0;
+      for (Lane* const active_lane : active) {
+        Lane& lane = *active_lane;
+        Observation obs;
         lane.wide_last_pt = lane.pending_pt;
-        lane.wide_ct_valid = jobs_[l].window.emit_rounds >= Recovery::kRounds;
-        if (lane.wide_ct_valid) lane.wide_state = states_[l];
-        if (lane.channel.has_value()) lane.channel->corrupt(obs);
+        if (lane.skipped) {
+          lane.wide_ct_valid = false;
+        } else {
+          obs = wide_batch_.extract(job);
+          lane.wide_ct_valid =
+              jobs_[job].window.emit_rounds >= Recovery::kRounds;
+          if (lane.wide_ct_valid) lane.wide_state = states_[job];
+          ++job;
+        }
+        if (lane.channel.has_value()) lane.channel->apply(lane.draw, obs);
         consume(lane, obs);
       }
     }
@@ -386,6 +426,9 @@ class WideRecoveryEngine {
   ElimParams params_;
   bool faulted_;
   bool finishing_;
+  /// Discarded probes may go unsimulated: the cache is supported() (LRU
+  /// without a prefetcher), where lane history changes no verdict.
+  bool skip_discarded_;
   /// Presence shortcut where it applies, per-lane scalar lanes otherwise
   /// (wide_observe.h) — one engine loop on every cache configuration.
   WideObserveCore<Recovery> core_;

@@ -5,8 +5,9 @@
 //
 // Channel half, on the decorator and on a bare FaultChannel alike: every
 // fault mode behaves as documented (drops are flagged, flips act at
-// cache-line granularity, stale replays the previous delivery) and the
-// fault stream is a deterministic function of the profile seed.  The
+// cache-line granularity, stale replays the previous delivery), the
+// fault stream is a deterministic function of the profile seed, and a
+// draw that discards the probe delivers the same whatever it read.  The
 // decorator alone: batch delivery corrupts identically to scalar
 // delivery, and rewind_to() really does erase a discarded speculative
 // tail from the channel state.
@@ -304,6 +305,67 @@ TEST(FaultySource, StaleReplaysThePreviousDelivery) {
       EXPECT_EQ(faulty.observe(pts[i]).present, first.present) << i;
     }
     EXPECT_EQ(faulty.stats().stale, pts.size() - 1);
+  }
+}
+
+TEST(FaultySource, DiscardedProbesIgnoreTheObservation) {
+  // The wide engine does not simulate an encryption whose draw discards
+  // the probe; it delivers apply(draw, Observation{}) instead
+  // (target/wide_engine.h).  That rests on this property: a discarding
+  // draw delivers the same observation and leaves the same channel state
+  // whatever the probe read.
+  const Gift64Platform inner{{}, test_key(9)};
+  const unsigned rows = inner.layout().sbox_rows();
+  constexpr unsigned kObservations = 10000;
+  struct Case {
+    const char* name;
+    FaultProfile profile;
+    unsigned min_discarded;
+    unsigned max_discarded;
+  };
+  FaultProfile dropped;
+  dropped.dropped_rate = 1.0;
+  FaultProfile stale;
+  stale.stale_rate = 1.0;
+  FaultProfile burst;
+  burst.burst_rate = 1.0;
+  burst.burst_length = 3;
+  const Case cases[] = {
+      {"moderate", FaultProfile::moderate(), 1, kObservations - 1},
+      {"saturating", FaultProfile::saturating(), 1, kObservations - 1},
+      {"dropped", dropped, kObservations, kObservations},
+      {"stale", stale, kObservations - 1, kObservations - 1},
+      {"burst", burst, kObservations, kObservations},
+      {"clean", FaultProfile::clean(), 0, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FaultChannel channel{c.profile, inner.layout(), inner.index_line_ids()};
+    Xoshiro256 rng{0xD15C};
+    unsigned discarded = 0;
+    for (unsigned i = 0; i < kObservations; ++i) {
+      const FaultChannel::Draw d = channel.draw();
+      Observation probe;
+      probe.present = LineSet::from_word(rng.next(), rows);
+      const bool discards = channel.discards_probe(d);
+      if (i == 0 && c.profile.stale_rate == 1.0) {
+        EXPECT_FALSE(discards) << "the first delivery has nothing to replay";
+      }
+      if (!discards) {
+        channel.apply(d, probe);
+        continue;
+      }
+      ++discarded;
+      FaultChannel skipped = channel;
+      Observation unread;
+      skipped.apply(d, unread);
+      channel.apply(d, probe);
+      ASSERT_EQ(unread.present, probe.present) << "observation " << i;
+      ASSERT_EQ(unread.dropped, probe.dropped) << "observation " << i;
+      ASSERT_TRUE(skipped.state() == channel.state()) << "observation " << i;
+    }
+    EXPECT_GE(discarded, c.min_discarded);
+    EXPECT_LE(discarded, c.max_discarded);
   }
 }
 

@@ -467,23 +467,83 @@ TYPED_TEST(WideConformance, WideEngineLanesMatchScalarTrials) {
 }
 
 TYPED_TEST(WideConformance, WideEngineLanesMatchScalarTrialsUnderFaults) {
+  // Faulted lanes draw before the probe, and on LRU caches without a
+  // prefetcher the engine does not simulate an encryption whose probe the
+  // channel discards (target/wide_engine.h).  Each lane must still equal
+  // the scalar recover_key run, which simulates every encryption: on the
+  // paper default (the presence shortcut serves every job), on a 2-way
+  // LRU cache (jobs trip the capacity test, so skipped ones would have
+  // run on the lane's scalar platform), and on 2-way FIFO and next-line
+  // prefetch caches, where lane history changes verdicts and nothing may
+  // be skipped.  The saturating legs discard about two probes in three.
+  // On the 2-way caches the moderate channel defeats vote 2 and every
+  // trial spends its budget, so those legs run a smaller one.  A lane
+  // replicates the scalar engine at max_batch 1; on FIFO and prefetch
+  // caches the scalar engine's discarded speculative encryptions still
+  // advance its cache, so its default batching is not that engine there
+  // and the reference runs unbatched.
   using Recovery = TypeParam;
+  using Config = typename KeyRecoveryEngine<Recovery>::Config;
+  using PlatformConfig = typename DirectProbePlatform<Recovery>::Config;
   constexpr std::size_t kTrials = 5;
   const auto specs = this->trial_specs(kTrials, 0x51);
-  typename KeyRecoveryEngine<Recovery>::Config config =
-      KeyRecoveryEngine<Recovery>::Config::noisy_defaults();
-  config.max_encryptions = 800000;
-  config.faults = FaultProfile::moderate();
-  std::vector<RecoveryResult<Recovery>> refs;
-  for (const WideTrialSpec& spec : specs) {
-    refs.push_back(this->scalar_reference(spec, config));
-  }
-  WideRecoveryEngine<Recovery> engine{config};
-  const auto results = engine.run(specs);
-  ASSERT_EQ(results.size(), refs.size());
-  for (std::size_t t = 0; t < refs.size(); ++t) {
-    expect_equal_results(results[t], refs[t],
-                         "faulty trial " + std::to_string(t));
+  Config moderate = Config::noisy_defaults();
+  moderate.max_encryptions = 800000;
+  moderate.faults = FaultProfile::moderate();
+  Config saturating;
+  saturating.vote_threshold = 16;
+  saturating.max_encryptions = 4000;
+  saturating.faults = FaultProfile::saturating();
+  saturating.finish_partials = true;
+  saturating.finish_max_candidates = 256;
+  PlatformConfig lru2;
+  lru2.cache.associativity = 2;
+  PlatformConfig fifo;
+  fifo.cache.associativity = 2;
+  fifo.cache.replacement = cachesim::Replacement::kFifo;
+  PlatformConfig prefetch;
+  prefetch.cache.associativity = 2;
+  prefetch.cache.prefetch_lines = 1;
+  ASSERT_TRUE(WideObserveCore<Recovery>::supported(lru2.cache));
+  ASSERT_FALSE(WideObserveCore<Recovery>::supported(fifo.cache));
+  ASSERT_FALSE(WideObserveCore<Recovery>::supported(prefetch.cache));
+  Config shallow_moderate = moderate;
+  shallow_moderate.max_encryptions = 5000;
+  for (const auto& [cache_name, platform] :
+       {std::pair{"default", PlatformConfig{}}, std::pair{"2-way", lru2},
+        std::pair{"fifo", fifo}, std::pair{"prefetch", prefetch}}) {
+    const bool shallow = std::string{cache_name} != "default";
+    for (const auto& [profile_name, config] :
+         {std::pair{"moderate", shallow ? shallow_moderate : moderate},
+          std::pair{"saturating", saturating}}) {
+      Config reference = config;
+      if (!WideObserveCore<Recovery>::supported(platform.cache)) {
+        reference.max_batch = 1;
+      }
+      std::vector<RecoveryResult<Recovery>> refs;
+      refs.reserve(kTrials);
+      for (const WideTrialSpec& spec : specs) {
+        refs.push_back(this->scalar_reference(spec, reference, platform));
+      }
+      for (const unsigned width : {1u, 64u}) {
+        WideRecoveryEngine<Recovery> engine{config, platform};
+        std::vector<RecoveryResult<Recovery>> results;
+        for (const runner::WideShard& shard :
+             runner::make_wide_shards(kTrials, width)) {
+          auto part = engine.run(
+              std::span<const WideTrialSpec>(specs).subspan(shard.begin,
+                                                            shard.width));
+          for (auto& r : part) results.push_back(std::move(r));
+        }
+        ASSERT_EQ(results.size(), refs.size());
+        for (std::size_t t = 0; t < refs.size(); ++t) {
+          expect_equal_results(results[t], refs[t],
+                               std::string{profile_name} + " " + cache_name +
+                                   " width " + std::to_string(width) +
+                                   " trial " + std::to_string(t));
+        }
+      }
+    }
   }
 }
 

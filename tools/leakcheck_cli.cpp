@@ -29,12 +29,15 @@
 // expectation AND the static and dynamic passes agree (for quantify: every
 // measured leak matches its declared budget and stays under the taint
 // bound); 1 otherwise; 2 on usage errors, among them a numeric option
-// whose value is not a whole number that fits its field (`bad --<flag>`).  CI runs this over all targets
+// whose value is not a whole number that fits its field, or for the
+// --expect-*-bits overrides a finite non-negative decimal
+// (`bad --<flag>`).  CI runs this over all targets
 // so reintroducing a secret-dependent lookup into a protected
 // implementation — or silently changing how much one leaks — fails the
 // build.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -61,6 +64,25 @@ bool read_whole(const std::string& flag, const char* text, T& out) {
     return false;
   }
   out = static_cast<T>(*value);
+  return true;
+}
+
+/// Reads a finite, non-negative decimal (digits, an optional fraction)
+/// into `out`.  Anything after the number, a sign, an exponent or a
+/// value out of range prints `bad --<flag>` and returns false.
+bool read_bits(const std::string& flag, const char* text, double& out) {
+  const char* const end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [rest, error] =
+      std::from_chars(text, end, value, std::chars_format::fixed);
+  if (error != std::errc{} || rest != end || *text == '-' ||
+      !std::isfinite(value)) {
+    std::fprintf(stderr,
+                 "bad %s (need a non-negative decimal number, got '%s')\n",
+                 flag.c_str(), text);
+    return false;
+  }
+  out = value;
   return true;
 }
 
@@ -142,12 +164,12 @@ int quantify_main(int argc, char** argv) {
     } else if (arg == "--expect-sbox-bits") {
       const char* v = value();
       if (v == nullptr) return quantify_usage();
-      expect_sbox = std::strtod(v, nullptr);
+      if (!read_bits(arg, v, expect_sbox)) return 2;
       have_expect_sbox = true;
     } else if (arg == "--expect-perm-bits") {
       const char* v = value();
       if (v == nullptr) return quantify_usage();
-      expect_perm = std::strtod(v, nullptr);
+      if (!read_bits(arg, v, expect_perm)) return 2;
       have_expect_perm = true;
     } else {
       return quantify_usage();
