@@ -1,10 +1,14 @@
 #include "campaign/spec.h"
 
 #include <array>
+#include <cstdint>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "common/crc32.h"
-#include "target/recovery_engine.h"
+#include "target/observation.h"
+#include "target/registry.h"
 
 namespace grinch::campaign {
 
@@ -27,6 +31,36 @@ bool set_error(std::string* error, std::string message) {
   return false;
 }
 
+/// True when, for every pre-key nibble, a segment's candidates predict
+/// S-Box indices on distinct lines of `line_words`-word lines: otherwise
+/// no observation can tell them apart and elimination spends the whole
+/// budget.
+template <typename Recovery>
+bool lines_separate_candidates(unsigned line_words) {
+  const std::vector<unsigned> line_of =
+      target::compute_index_line_ids(target::TableLayout{}, line_words);
+  for (unsigned nibble = 0; nibble < 16; ++nibble) {
+    std::uint32_t lines = 0;
+    for (unsigned c = 0; c < Recovery::kCandidatesPerSegment; ++c) {
+      const std::uint32_t line =
+          std::uint32_t{1} << line_of[Recovery::candidate_index(nibble, c)];
+      if ((lines & line) != 0) return false;
+      lines |= line;
+    }
+  }
+  return true;
+}
+
+bool lines_separate_candidates(std::string_view cipher, unsigned line_words) {
+  if (cipher == "gift128") {
+    return lines_separate_candidates<target::Gift128Recovery>(line_words);
+  }
+  if (cipher == "present80") {
+    return lines_separate_candidates<target::Present80Recovery>(line_words);
+  }
+  return lines_separate_candidates<target::Gift64Recovery>(line_words);
+}
+
 }  // namespace
 
 bool CampaignSpec::validate(std::string* error) const {
@@ -47,6 +81,11 @@ bool CampaignSpec::validate(std::string* error) const {
   if (line_words == 0 || (line_words & (line_words - 1)) != 0 ||
       line_words > 8) {
     return set_error(error, "line_words must be 1, 2, 4 or 8");
+  }
+  if (!lines_separate_candidates(cipher, line_words)) {
+    return set_error(error, cipher + " cannot run at line_words " +
+                                std::to_string(line_words) +
+                                ": its candidates share cache lines");
   }
   if (probing_round == 0) return set_error(error, "probing_round must be >= 1");
   if (vote_threshold > 16) {

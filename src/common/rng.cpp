@@ -10,7 +10,7 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9E3779B97F4A7C15ull;
 }
 
-std::uint64_t Xoshiro256::uniform(std::uint64_t bound) noexcept {
+std::uint64_t Xoshiro256::uniform_rejection(std::uint64_t bound) noexcept {
   // Lemire-style rejection to avoid modulo bias.
   const std::uint64_t threshold = (0 - bound) % bound;
   for (;;) {

@@ -56,7 +56,13 @@ class Xoshiro256 {
   }
 
   /// Unbiased uniform draw in [0, bound). Precondition: bound > 0.
-  std::uint64_t uniform(std::uint64_t bound) noexcept;
+  /// A power-of-two bound divides 2^64, so rejection never triggers and
+  /// the first draw's low bits are the result: one next() either way,
+  /// without the two divisions.
+  std::uint64_t uniform(std::uint64_t bound) noexcept {
+    if ((bound & (bound - 1)) == 0) return next() & (bound - 1);
+    return uniform_rejection(bound);
+  }
 
   /// Uniform 4-bit segment value (plaintext nibble randomisation).
   unsigned nibble() noexcept { return static_cast<unsigned>(next() & 0xF); }
@@ -77,6 +83,8 @@ class Xoshiro256 {
   friend bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
 
  private:
+  std::uint64_t uniform_rejection(std::uint64_t bound) noexcept;
+
   std::uint64_t s_[4];
 };
 

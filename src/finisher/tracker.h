@@ -79,8 +79,15 @@ class FinishTracker {
     const std::uint16_t word = static_cast<std::uint16_t>(present.word());
     for (unsigned s = 0; s < Recovery::kSegments; ++s) {
       const std::uint16_t keep = table.keep(word, nibbles[s]);
-      for (unsigned c = 0; c < Recovery::kCandidatesPerSegment; ++c) {
-        presence_[s][c] += (keep >> c) & 1u;
+      if constexpr (Recovery::kCandidatesPerSegment == 4) {
+        // A 4-candidate keep mask has no bit above bit 3: one 4-lane add
+        // of its bit row.
+        const auto& bits = kKeepBits[keep];
+        for (unsigned c = 0; c < 4; ++c) presence_[s][c] += bits[c];
+      } else {
+        for (unsigned c = 0; c < Recovery::kCandidatesPerSegment; ++c) {
+          presence_[s][c] += (keep >> c) & 1u;
+        }
       }
     }
     ++updates_;
@@ -126,6 +133,16 @@ class FinishTracker {
   }
 
  private:
+  /// kKeepBits[m] = {bit 0, bit 1, bit 2, bit 3} of keep mask m.
+  static constexpr std::array<std::array<std::uint32_t, 4>, 16> kKeepBits =
+      [] {
+        std::array<std::array<std::uint32_t, 4>, 16> rows{};
+        for (unsigned m = 0; m < 16; ++m) {
+          for (unsigned c = 0; c < 4; ++c) rows[m][c] = (m >> c) & 1u;
+        }
+        return rows;
+      }();
+
   unsigned stage_ = 0;
   std::uint64_t stage_end_ = 0;
   std::uint64_t updates_ = 0;

@@ -75,7 +75,7 @@ std::uint64_t TableGift64::encrypt_impl(std::uint64_t plaintext,
     rk_vec = provider_(key, rounds);
     rks = rk_vec.data();
   }
-  return encrypt_with_keys(plaintext, rks, rounds, sink);
+  return encrypt_with_keys(plaintext, rks, 0, rounds, sink);
 }
 
 std::uint64_t TableGift64::encrypt_rounds(std::uint64_t plaintext,
@@ -106,14 +106,14 @@ std::uint64_t TableGift64::encrypt_with_schedule(
     std::uint64_t plaintext, std::span<const RoundKey64> schedule,
     unsigned rounds, TraceSink* sink) const {
   assert(schedule.size() >= rounds);
-  return encrypt_with_keys(plaintext, schedule.data(), rounds, sink);
+  return encrypt_with_keys(plaintext, schedule.data(), 0, rounds, sink);
 }
 
 std::uint64_t TableGift64::encrypt_with_schedule(
     std::uint64_t plaintext, std::span<const RoundKey64> schedule,
     unsigned rounds, VectorTraceSink* sink) const {
   assert(schedule.size() >= rounds);
-  return encrypt_with_keys(plaintext, schedule.data(), rounds, sink);
+  return encrypt_with_keys(plaintext, schedule.data(), 0, rounds, sink);
 }
 
 }  // namespace grinch::gift

@@ -59,6 +59,15 @@ class TraceSink {
   virtual void on_round_end(unsigned round) = 0;
 };
 
+/// A sink that receives nothing: the templated entry points instantiate
+/// with it into the bare round loop (the wide path's rounds before its
+/// probe window).
+struct NullSink {
+  void on_round_begin(unsigned /*round*/) noexcept {}
+  void on_access(const TableAccess& /*access*/) noexcept {}
+  void on_round_end(unsigned /*round*/) noexcept {}
+};
+
 /// TraceSink that collects everything into vectors (tests, offline replay).
 /// Final so encrypt()'s VectorTraceSink overload devirtualizes the ~900
 /// per-encryption callbacks; clear() keeps capacity, so a reused sink
@@ -176,8 +185,19 @@ class TableGift64 {
   [[nodiscard]] std::uint64_t encrypt_with_schedule(
       std::uint64_t plaintext, std::span<const RoundKey64> schedule,
       unsigned rounds, Sink* sink) const {
+    return encrypt_rounds_from(plaintext, schedule, 0, rounds, sink);
+  }
+
+  /// Rounds [first, rounds) of encrypt_with_schedule, from `state`, the
+  /// state after its first `first` rounds: splitting a run at any round
+  /// returns the same state and emits the same accesses for the rounds
+  /// after the split.
+  template <typename Sink>
+  [[nodiscard]] std::uint64_t encrypt_rounds_from(
+      std::uint64_t state, std::span<const RoundKey64> schedule,
+      unsigned first, unsigned rounds, Sink* sink) const {
     assert(schedule.size() >= rounds);
-    return encrypt_with_keys(plaintext, schedule.data(), rounds, sink);
+    return encrypt_with_keys(state, schedule.data(), first, rounds, sink);
   }
 
   /// Table accesses issued per round (16 S-Box + 16 PermBits lookups).
@@ -193,11 +213,10 @@ class TableGift64 {
   /// The round loop, generic over the sink's static type.  Header-defined
   /// so sink callbacks devirtualize/inline per instantiation.
   template <typename Sink>
-  std::uint64_t encrypt_with_keys(std::uint64_t plaintext,
-                                  const RoundKey64* rks, unsigned rounds,
+  std::uint64_t encrypt_with_keys(std::uint64_t state, const RoundKey64* rks,
+                                  unsigned first, unsigned rounds,
                                   Sink* sink) const {
-    std::uint64_t state = plaintext;
-    for (unsigned r = 0; r < rounds; ++r) {
+    for (unsigned r = first; r < rounds; ++r) {
       if (sink) sink->on_round_begin(r);
 
       // SubCells via the 16-entry S-Box table.  The *index* of each

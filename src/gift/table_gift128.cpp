@@ -53,17 +53,17 @@ State128 TableGift128::encrypt_rounds(State128 plaintext, const Key128& key,
       rks[r] = extract_round_key128(k);
       k = update_key_state(k);
     }
-    return encrypt_with_keys(plaintext, rks.data(), rounds, sink);
+    return encrypt_with_keys(plaintext, rks.data(), 0, rounds, sink);
   }
   const Schedule rks = make_schedule(key, rounds);
-  return encrypt_with_keys(plaintext, rks.data(), rounds, sink);
+  return encrypt_with_keys(plaintext, rks.data(), 0, rounds, sink);
 }
 
 State128 TableGift128::encrypt_with_schedule(
     State128 plaintext, std::span<const RoundKey128> schedule, unsigned rounds,
     TraceSink* sink) const {
   assert(schedule.size() >= rounds);
-  return encrypt_with_keys(plaintext, schedule.data(), rounds, sink);
+  return encrypt_with_keys(plaintext, schedule.data(), 0, rounds, sink);
 }
 
 State128 TableGift128::encrypt(State128 plaintext, const Key128& key,

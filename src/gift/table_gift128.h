@@ -56,8 +56,17 @@ class TableGift128 {
   [[nodiscard]] State128 encrypt_with_schedule(
       State128 plaintext, std::span<const RoundKey128> schedule,
       unsigned rounds, Sink* sink) const {
+    return encrypt_rounds_from(plaintext, schedule, 0, rounds, sink);
+  }
+
+  /// Rounds [first, rounds) of encrypt_with_schedule, from `state`, the
+  /// state after its first `first` rounds (see TableGift64).
+  template <typename Sink>
+  [[nodiscard]] State128 encrypt_rounds_from(
+      State128 state, std::span<const RoundKey128> schedule, unsigned first,
+      unsigned rounds, Sink* sink) const {
     assert(schedule.size() >= rounds);
-    return encrypt_with_keys(plaintext, schedule.data(), rounds, sink);
+    return encrypt_with_keys(state, schedule.data(), first, rounds, sink);
   }
 
   /// 32 S-Box + 32 PermBits lookups per round.
@@ -69,10 +78,10 @@ class TableGift128 {
   /// The round loop, generic over the sink's static type.  Header-defined
   /// so sink callbacks devirtualize/inline per instantiation.
   template <typename Sink>
-  State128 encrypt_with_keys(State128 plaintext, const RoundKey128* rks,
-                             unsigned rounds, Sink* sink) const {
-    State128 state = plaintext;
-    for (unsigned r = 0; r < rounds; ++r) {
+  State128 encrypt_with_keys(State128 state, const RoundKey128* rks,
+                             unsigned first, unsigned rounds,
+                             Sink* sink) const {
+    for (unsigned r = first; r < rounds; ++r) {
       if (sink) sink->on_round_begin(r);
 
       // SubCells via the shared 16-entry table; the lookup index leaks.

@@ -61,9 +61,19 @@ class TablePresent80 {
   [[nodiscard]] std::uint64_t encrypt_with_schedule(
       std::uint64_t plaintext, std::span<const std::uint64_t> rks,
       unsigned rounds, Sink* sink) const {
+    return encrypt_rounds_from(plaintext, rks, 0, rounds, sink);
+  }
+
+  /// Rounds [first, rounds) of encrypt_with_schedule, from `state`, the
+  /// state after its first `first` rounds.  The final whitening belongs
+  /// to the call that runs the last round, so a split run applies it
+  /// once.
+  template <typename Sink>
+  [[nodiscard]] std::uint64_t encrypt_rounds_from(
+      std::uint64_t state, std::span<const std::uint64_t> rks, unsigned first,
+      unsigned rounds, Sink* sink) const {
     assert(rks.size() > Present80::kRounds);
-    std::uint64_t state = plaintext;
-    for (unsigned r = 0; r < rounds && r < Present80::kRounds; ++r) {
+    for (unsigned r = first; r < rounds && r < Present80::kRounds; ++r) {
       if (sink) sink->on_round_begin(r);
       state ^= rks[r];
 
@@ -95,7 +105,9 @@ class TablePresent80 {
       state = permuted;
       if (sink) sink->on_round_end(r);
     }
-    if (rounds >= Present80::kRounds) state ^= rks[Present80::kRounds];
+    if (first < Present80::kRounds && rounds >= Present80::kRounds) {
+      state ^= rks[Present80::kRounds];
+    }
     return state;
   }
 

@@ -28,9 +28,10 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/rng.h"
 #include "target/fault_model.h"
@@ -87,25 +88,40 @@ class FaultChannel {
   /// index_line_ids()).
   FaultChannel(const FaultProfile& profile, const TableLayout& layout,
                std::span<const unsigned> index_line_ids)
-      : profile_(profile), rows_(layout.sbox_rows()) {
+      : profile_(profile),
+        rows_(layout.sbox_rows()),
+        absent_threshold_(hit_threshold(profile.false_absent_rate)),
+        present_threshold_(hit_threshold(profile.false_present_rate)),
+        drop_threshold_(hit_threshold(profile.dropped_rate)),
+        stale_threshold_(hit_threshold(profile.stale_rate)),
+        burst_threshold_(hit_threshold(profile.burst_rate)) {
     SplitMix64 seeder{profile.seed};
     state_.absent_rng = Xoshiro256{seeder.next()};
     state_.present_rng = Xoshiro256{seeder.next()};
     state_.drop_rng = Xoshiro256{seeder.next()};
     state_.stale_rng = Xoshiro256{seeder.next()};
     state_.burst_rng = Xoshiro256{seeder.next()};
-    unsigned lines = 0;
-    std::array<std::uint64_t, LineSet::kMaxBits> mask_of_line{};
-    std::array<bool, LineSet::kMaxBits> seen{};
+    // Rows sample the table in index order, so their lines are numbered
+    // 0, 1, ... in first-seen order and line_masks_[0, lines_) is dense.
+    assert(rows_ <= kMaxLines);
     for (unsigned r = 0; r < rows_; ++r) {
       const unsigned line = index_line_ids[r * layout.sbox_entries_per_row];
-      mask_of_line[line] |= std::uint64_t{1} << r;
-      if (!seen[line]) {
-        seen[line] = true;
-        ++lines;
-      }
+      assert(line < kMaxLines);
+      if (line_masks_[line] == 0) ++lines_;
+      line_masks_[line] |= std::uint64_t{1} << r;
     }
-    line_masks_.assign(mask_of_line.begin(), mask_of_line.begin() + lines);
+  }
+
+  /// The whole-number form of one rate's draw: a draw k = next() >> 11
+  /// hits iff k < hit_threshold(rate).  k < 2^53, so k * 2^-53 is exact,
+  /// and so is rate * 2^53; k * 2^-53 < rate therefore holds iff
+  /// k < rate * 2^53, iff k < ceil(rate * 2^53).  Every k hits once
+  /// rate >= 1, none when rate is not positive (or NaN).
+  [[nodiscard]] static std::uint64_t hit_threshold(double rate) noexcept {
+    constexpr std::uint64_t kAll = std::uint64_t{1} << 53;
+    if (!(rate > 0.0)) return 0;
+    if (rate >= 1.0) return kAll;
+    return static_cast<std::uint64_t>(std::ceil(rate * 0x1.0p53));
   }
 
   /// Makes every draw of the next observation without reading it,
@@ -118,33 +134,39 @@ class FaultChannel {
     // other modes decided, so the streams stay independent of each
     // other's rates.
     if (profile_.burst_rate > 0.0 && ch.burst_remaining == 0 &&
-        hit(ch.burst_rng, profile_.burst_rate)) {
+        hit(ch.burst_rng, burst_threshold_) != 0) {
       ch.burst_remaining = profile_.burst_length;
       d.burst_started = true;
     }
-    d.dropped =
-        profile_.dropped_rate > 0.0 && hit(ch.drop_rng, profile_.dropped_rate);
+    d.dropped = profile_.dropped_rate > 0.0 &&
+                hit(ch.drop_rng, drop_threshold_) != 0;
     d.stale =
-        profile_.stale_rate > 0.0 && hit(ch.stale_rng, profile_.stale_rate);
-    if (profile_.false_absent_rate > 0.0) {
-      for (const std::uint64_t m : line_masks_) {
-        if (hit(ch.absent_rng, profile_.false_absent_rate)) d.evict_mask |= m;
+        profile_.stale_rate > 0.0 && hit(ch.stale_rng, stale_threshold_) != 0;
+    // The absent and present streams draw once per line each; one loop
+    // interleaves them without moving a draw within either stream.  The
+    // loops draw from local copies, which stay in registers.
+    const bool absent = profile_.false_absent_rate > 0.0;
+    const bool present = profile_.false_present_rate > 0.0;
+    if (absent || present) {
+      Xoshiro256 absent_rng = ch.absent_rng;
+      Xoshiro256 present_rng = ch.present_rng;
+      for (unsigned i = 0; i < lines_; ++i) {
+        const std::uint64_t m = line_masks_[i];
+        if (absent) d.evict_mask |= m & hit(absent_rng, absent_threshold_);
+        if (present) d.inject_mask |= m & hit(present_rng, present_threshold_);
       }
-    }
-    if (profile_.false_present_rate > 0.0) {
-      for (const std::uint64_t m : line_masks_) {
-        if (hit(ch.present_rng, profile_.false_present_rate)) {
-          d.inject_mask |= m;
-        }
-      }
+      ch.absent_rng = absent_rng;
+      ch.present_rng = present_rng;
     }
     if (ch.burst_remaining > 0) {
       --ch.burst_remaining;
       d.burst = true;
       // Scheduler preemption: the probe reports uniform garbage occupancy.
-      for (const std::uint64_t m : line_masks_) {
-        if (ch.burst_rng.coin() != 0) d.garbage |= m;
+      Xoshiro256 burst_rng = ch.burst_rng;
+      for (unsigned i = 0; i < lines_; ++i) {
+        d.garbage |= line_masks_[i] & (0 - std::uint64_t{burst_rng.coin()});
       }
+      ch.burst_rng = burst_rng;
     }
     return d;
   }
@@ -200,16 +222,25 @@ class FaultChannel {
   }
 
  private:
-  static bool hit(Xoshiro256& rng, double rate) noexcept {
-    // 53-bit uniform in [0, 1): deterministic, unbiased enough for rates.
-    const double u = static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
-    return u < rate;
+  /// Every S-Box row has its own line at most (sbox_rows() <= 16).
+  static constexpr unsigned kMaxLines = 16;
+
+  /// One draw of a rate's stream: all ones on a hit, 0 otherwise.
+  static std::uint64_t hit(Xoshiro256& rng, std::uint64_t threshold) noexcept {
+    return 0 - std::uint64_t{(rng.next() >> 11) < threshold};
   }
 
   FaultProfile profile_;
   unsigned rows_ = 0;
-  /// Per-line row bitmasks (one entry per distinct cache line).
-  std::vector<std::uint64_t> line_masks_;
+  /// hit_threshold() of each rate, fixed with the profile.
+  std::uint64_t absent_threshold_;
+  std::uint64_t present_threshold_;
+  std::uint64_t drop_threshold_;
+  std::uint64_t stale_threshold_;
+  std::uint64_t burst_threshold_;
+  /// Per-line row bitmasks: line_masks_[i] for the lines_ distinct lines.
+  std::array<std::uint64_t, kMaxLines> line_masks_{};
+  unsigned lines_ = 0;
   State state_;
 };
 

@@ -50,14 +50,17 @@
 //    max_batch.  A mismatch (the target segment resolved mid-batch)
 //    discards the rest of the batch and carries the already-crafted
 //    plaintext into the next one.  Discarded speculative encryptions are
-//    wall-time waste only — they are never counted, and on the
-//    flush-per-observation direct-probe platform they cannot alter later
+//    never counted, but they do run on the source: on the direct-probe
+//    platform with an LRU cache and no prefetcher they cannot alter later
 //    observations (every probe verdict is fully determined by the
-//    accesses between that observation's own flush and probe).  With
-//    fault injection enabled the channel state IS shared across
-//    observations, so the engine rewinds the fault channel to the
-//    consumed prefix after every batch (FaultyObservationSource::
-//    rewind_to), restoring the same guarantee.
+//    accesses after that observation's own flush — the recency-stack
+//    argument in target/wide_observe.h).  On FIFO, PLRU, Random and
+//    prefetching caches a discarded encryption still advances cache state
+//    that later verdicts read, so recover_key (target/registry.h) runs
+//    those caches at max_batch = 1.  With fault injection enabled the
+//    channel state IS shared across observations, so the engine rewinds
+//    the fault channel to the consumed prefix after every batch
+//    (FaultyObservationSource::rewind_to), restoring the same guarantee.
 //  * Many independent trials at once run on the multi-trial wide engine
 //    (target/wide_engine.h), which is bit-identical to this one per trial.
 //
@@ -115,8 +118,10 @@ class KeyRecoveryEngine {
     std::uint64_t seed = Recovery::kDefaultSeed;
     /// Largest speculative batch submitted per observe_batch call; the
     /// engine ramps 1 -> max_batch while speculation holds and resets on
-    /// a mispredict.  1 pins the engine to scalar observe() semantics
-    /// (which every other value reproduces bit-identically anyway).
+    /// a mispredict.  1 pins the engine to scalar observe() semantics,
+    /// which every other value reproduces bit-identically on a source
+    /// whose discarded encryptions change no later observation (see the
+    /// header; recover_key pins 1 on every other cache).
     unsigned max_batch = 16;
     /// Absent observations (without an intervening presence) needed to
     /// eliminate a candidate.  1 = the paper's hard elimination, the

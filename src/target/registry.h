@@ -19,6 +19,7 @@
 #include "target/platform.h"
 #include "target/present80_recovery.h"
 #include "target/recovery_engine.h"
+#include "target/wide_observe.h"
 
 namespace grinch::target {
 
@@ -40,7 +41,10 @@ void for_each_registered_target(Fn&& fn) {
 /// Runs the whole pipeline against one target: generic direct-probe
 /// platform (driven through the unified ObservationSource interface),
 /// generic elimination engine, recovery result.  `victim_key` is
-/// canonicalised to the cipher's key space first.
+/// canonicalised to the cipher's key space first.  Speculative batching
+/// runs only where discarded encryptions cannot alter later
+/// observations (LRU without a prefetcher, WideObserveCore::supported);
+/// every other cache runs at max_batch = 1.
 template <typename Recovery>
 [[nodiscard]] RecoveryResult<Recovery> recover_key(
     const Key128& victim_key,
@@ -50,7 +54,11 @@ template <typename Recovery>
   DirectProbePlatform<Recovery> platform{platform_config,
                                          Recovery::canonical_key(victim_key)};
   ObservationSource<typename Recovery::Block>& source = platform;
-  KeyRecoveryEngine<Recovery> engine{source, engine_config};
+  typename KeyRecoveryEngine<Recovery>::Config config = engine_config;
+  if (!WideObserveCore<Recovery>::supported(platform_config.cache)) {
+    config.max_batch = 1;
+  }
+  KeyRecoveryEngine<Recovery> engine{source, config};
   return engine.run();
 }
 

@@ -19,10 +19,9 @@
 // width, with or without faults (tests/target/wide_conformance_test.cpp).
 // Each lane replicates the scalar engine at max_batch = 1.  On LRU
 // caches without a prefetcher the scalar engine's speculative batching
-// reproduces that bit-identically for any max_batch, so the equality
-// holds against default configs there; on FIFO and prefetching caches
-// the scalar engine's discarded speculative encryptions still advance
-// its cache, and only max_batch = 1 is the reference.
+// reproduces that bit-identically for any max_batch; on every other
+// cache recover_key runs at max_batch = 1, so the equality holds against
+// default configs everywhere.
 // Per-lane fault channels (target/fault_channel.h) see exactly the
 // scalar decorator's delivery sequence, including the finalize
 // verification observation.

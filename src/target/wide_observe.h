@@ -92,22 +92,21 @@ namespace grinch::target {
 /// 64-bit bitmap — monitored lines form one contiguous line range, so
 /// membership is a subtract + compare) and counts the window's accesses
 /// per cache set (the overflow detector's input).  No tag scans, no LRU
-/// stamps, no per-set slot state.
+/// stamps, no per-set slot state.  It sees only the rounds from the
+/// job's instrument_from on; the earlier ones run without a sink.
 class PresenceSink final {
  public:
   PresenceSink(std::uint16_t* set_counts, std::uint64_t first_line,
-               unsigned n_lines, unsigned instrument_from,
-               unsigned line_shift, std::uint64_t set_mask) noexcept
+               unsigned n_lines, unsigned line_shift,
+               std::uint64_t set_mask) noexcept
       : set_counts_(set_counts),
         first_line_(first_line),
         set_mask_(set_mask),
         n_lines_(n_lines),
-        from_(instrument_from),
         line_shift_(line_shift) {}
 
-  void on_round_begin(unsigned round) noexcept { live_ = round >= from_; }
+  void on_round_begin(unsigned /*round*/) noexcept {}
   void on_access(const gift::TableAccess& access) {
-    if (!live_) return;
     const std::uint64_t line = access.addr >> line_shift_;
     ++set_counts_[line & set_mask_];
     const std::uint64_t u = line - first_line_;
@@ -124,9 +123,7 @@ class PresenceSink final {
   std::uint64_t set_mask_;
   std::uint64_t touched_ = 0;
   unsigned n_lines_;
-  unsigned from_;
   unsigned line_shift_;
-  bool live_ = false;
 };
 
 template <typename Traits>
@@ -209,7 +206,47 @@ class WideObserveCore {
             static_cast<std::uint8_t>(line - min_line),
             static_cast<std::uint8_t>(row.line_slot)};
       }
+      // Each present bit copies one line verdict bit, so fan_out()
+      // distributes over OR: tabulate it per verdict byte from its
+      // single-bit images.
+      fanout_.resize((n_lines_ + 7) / 8);
+      for (unsigned b = 0; b < fanout_.size(); ++b) {
+        for (unsigned v = 1; v < 256; ++v) {
+          const unsigned low = static_cast<unsigned>(std::countr_zero(v));
+          fanout_[b][v] = static_cast<std::uint16_t>(
+              fanout_[b][v & (v - 1)] |
+              fan_out(std::uint64_t{1} << (8 * b + low)));
+        }
+      }
     }
+  }
+
+  /// The rows reported present for line verdicts `line_bits` (bit i: line
+  /// first_line + i reads present): verdicts go to the prober's line
+  /// slots, then to rows — bit-compatible with FlushReloadProber::probe().
+  /// run_presence() reads the same map from its per-byte tables.
+  [[nodiscard]] std::uint64_t fan_out(std::uint64_t line_bits) const noexcept {
+    std::uint64_t line_present = 0;
+    for (unsigned i = 0; i < n_presence_rows_; ++i) {
+      line_present |= ((line_bits >> presence_rows_[i].line_idx) & 1u)
+                      << presence_rows_[i].line_slot;
+    }
+    std::uint64_t present_word = 0;
+    for (unsigned index = 16; index-- > 0;) {
+      present_word |= ((line_present >> rows_[index].line_slot) & 1u)
+                      << index;
+    }
+    return present_word;
+  }
+
+  /// fan_out() through the per-byte tables (shortcut configurations only).
+  [[nodiscard]] std::uint64_t fan_out_tabulated(
+      std::uint64_t line_bits) const noexcept {
+    std::uint64_t present_word = 0;
+    for (unsigned b = 0; b < fanout_.size(); ++b) {
+      present_word |= fanout_[b][(line_bits >> (8 * b)) & 0xFF];
+    }
+    return present_word;
   }
 
   /// Drops backing lane `lane`'s persistent trial state: the lane's
@@ -271,10 +308,17 @@ class WideObserveCore {
                     std::uint64_t& cycles_out, Block& state_out) {
     std::fill(set_counts_.begin(), set_counts_.end(),
               static_cast<std::uint16_t>(0));
-    PresenceSink sink{set_counts_.data(), first_line_,    n_lines_,
-                      job.instrument_from, line_shift_, set_mask_};
-    state_out = cipher_.encrypt_with_schedule(
-        job.plaintext, *job.schedule, job.window.emit_rounds, &sink);
+    // Rounds before instrument_from precede the flush: no access of
+    // theirs is counted, so they run without a sink.
+    const unsigned from =
+        std::min(job.instrument_from, job.window.emit_rounds);
+    PresenceSink sink{set_counts_.data(), first_line_, n_lines_, line_shift_,
+                      set_mask_};
+    const Block before = cipher_.encrypt_with_schedule(
+        job.plaintext, *job.schedule, from,
+        static_cast<gift::NullSink*>(nullptr));
+    state_out = cipher_.encrypt_rounds_from(
+        before, *job.schedule, from, job.window.emit_rounds, &sink);
 
     const unsigned ways = cache_config_.associativity;
     for (const std::uint32_t set : monitored_set_list_) {
@@ -297,25 +341,12 @@ class WideObserveCore {
     const std::uint64_t line_bits =
         ((touched & hit_mask) | (~touched & miss_mask)) & lines_mask;
 
-    // Fan the line verdicts out to line slots (the prober's indexing),
-    // then to rows — bit-compatible with FlushReloadProber::probe().
-    std::uint64_t line_present = 0;
-    for (unsigned i = 0; i < n_presence_rows_; ++i) {
-      line_present |= ((line_bits >> presence_rows_[i].line_idx) & 1u)
-                      << presence_rows_[i].line_slot;
-    }
-    std::uint64_t present_word = 0;
-    for (unsigned index = 16; index-- > 0;) {
-      present_word |= ((line_present >> rows_[index].line_slot) & 1u)
-                      << index;
-    }
-
     // Cycles: the flush pass plus one timed reload per distinct line
     // (touched lines reload at hit latency, the rest at miss latency).
     const auto hits = static_cast<std::uint64_t>(std::popcount(touched));
     cycles_out = static_cast<std::uint64_t>(sbox_rows_) * flush_latency_ +
                  hits * hit_latency_ + (n_lines_ - hits) * miss_latency_;
-    present_out = present_word;
+    present_out = fan_out_tabulated(line_bits);
     return true;
   }
 
@@ -369,6 +400,8 @@ class WideObserveCore {
   };
   std::array<PresenceRow, LineSet::kMaxBits> presence_rows_{};
   unsigned n_presence_rows_ = 0;
+  /// fanout_[b][v] = fan_out(v << 8b): one table per verdict byte.
+  std::vector<std::array<std::uint16_t, 256>> fanout_;
   std::uint64_t first_line_ = 0;
   unsigned n_lines_ = 0;
   bool presence_ok_ = false;

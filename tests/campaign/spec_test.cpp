@@ -35,6 +35,33 @@ TEST(CampaignSpec, ValidateRejectsBadFields) {
   rejects([](CampaignSpec& s) { s.vote_threshold = 17; }, "vote");
 }
 
+TEST(CampaignSpec, ValidateRejectsLinesThatMergeCandidates) {
+  // A segment's candidates must predict S-Box indices on distinct lines.
+  // GIFT-64's key pair sits on nibble bits 0-1 and PRESENT-80 guesses the
+  // whole nibble, so only 1-word lines separate them; GIFT-128's pair
+  // sits on bits 1-2, so 2-word lines still do.
+  const auto check = [](const char* cipher, unsigned line_words) {
+    CampaignSpec spec;
+    spec.cipher = cipher;
+    spec.line_words = line_words;
+    std::string err;
+    const bool ok = spec.validate(&err);
+    EXPECT_TRUE(ok || (err.find(cipher) != std::string::npos &&
+                       err.find("line_words " + std::to_string(line_words)) !=
+                           std::string::npos))
+        << err;
+    return ok;
+  };
+  EXPECT_FALSE(check("gift64", 2));
+  EXPECT_FALSE(check("gift128", 4));
+  EXPECT_FALSE(check("present80", 2));
+  EXPECT_TRUE(check("gift128", 2));
+  for (const char* cipher : {"gift64", "gift128", "present80"}) {
+    EXPECT_TRUE(check(cipher, 1)) << cipher;
+    EXPECT_FALSE(check(cipher, 8)) << cipher;
+  }
+}
+
 TEST(CampaignSpec, CanonicalRoundTripsThroughParse) {
   CampaignSpec spec;
   spec.name = "roundtrip";

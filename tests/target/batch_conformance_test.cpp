@@ -234,5 +234,53 @@ TYPED_TEST(BatchConformance, BatchedEngineMatchesScalarEngineUnderFaults) {
   EXPECT_EQ(b.stage_encryptions, s.stage_encryptions);
 }
 
+TYPED_TEST(BatchConformance, CacheWithHistoryRunsUnbatched) {
+  // A discarded speculative encryption still advances a FIFO cache, and
+  // later verdicts read that history, so recover_key must not batch
+  // there: the default config equals max_batch = 1 bit for bit.  The
+  // trial is WideConformance's trial_specs(5, 0x51) trial 3, where a
+  // batched GIFT-128 run ended with one stage_evidence presence count of
+  // 37 against 38.
+  using Recovery = TypeParam;
+  using Config = typename KeyRecoveryEngine<Recovery>::Config;
+  Xoshiro256 rng{Recovery::kDefaultSeed ^ 0x51 ^ 0x77DE};
+  Key128 key{};
+  Config batched = Config::noisy_defaults();
+  for (unsigned t = 0; t <= 3; ++t) {
+    key = Recovery::canonical_key(rng.key128());
+    key.lo &= ~std::uint64_t{0xFFFF};
+    batched.seed = rng.next();
+    batched.faults.seed = rng.next();
+  }
+  const std::uint64_t fault_seed = batched.faults.seed;
+  batched.faults = FaultProfile::moderate();
+  batched.faults.seed = fault_seed;
+  batched.max_encryptions = 10000;
+  Config unbatched = batched;
+  unbatched.max_batch = 1;
+  typename DirectProbePlatform<Recovery>::Config fifo;
+  fifo.cache.associativity = 2;
+  fifo.cache.replacement = cachesim::Replacement::kFifo;
+  const RecoveryResult<Recovery> b = recover_key<Recovery>(key, batched, fifo);
+  const RecoveryResult<Recovery> s =
+      recover_key<Recovery>(key, unbatched, fifo);
+  EXPECT_EQ(b.success, s.success);
+  EXPECT_EQ(b.recovered_key, s.recovered_key);
+  EXPECT_EQ(b.total_encryptions, s.total_encryptions);
+  EXPECT_EQ(b.stage_encryptions, s.stage_encryptions);
+  EXPECT_EQ(b.noise_restarts, s.noise_restarts);
+  EXPECT_EQ(b.dropped_observations, s.dropped_observations);
+  EXPECT_EQ(b.segment_resets, s.segment_resets);
+  EXPECT_EQ(b.verify_restarts, s.verify_restarts);
+  EXPECT_EQ(b.failed_stage, s.failed_stage);
+  EXPECT_EQ(b.surviving_masks, s.surviving_masks);
+  ASSERT_EQ(b.stage_evidence.size(), s.stage_evidence.size());
+  for (std::size_t i = 0; i < s.stage_evidence.size(); ++i) {
+    EXPECT_EQ(b.stage_evidence[i].masks, s.stage_evidence[i].masks);
+    EXPECT_EQ(b.stage_evidence[i].updates, s.stage_evidence[i].updates);
+    EXPECT_EQ(b.stage_evidence[i].presence, s.stage_evidence[i].presence);
+  }
+}
+
 }  // namespace
 }  // namespace grinch::target

@@ -26,7 +26,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -366,6 +369,152 @@ TEST(FaultySource, DiscardedProbesIgnoreTheObservation) {
     }
     EXPECT_GE(discarded, c.min_discarded);
     EXPECT_LE(discarded, c.max_discarded);
+  }
+}
+
+/// The draw as a double compare, one stream loop at a time, with the
+/// line masks in a vector: FaultChannel::draw() before it compared whole
+/// numbers.  It runs on a copy of a channel's State.
+FaultChannel::Draw double_compare_draw(const FaultProfile& p,
+                                       const std::vector<std::uint64_t>& masks,
+                                       FaultChannel::State& ch) {
+  const auto hit = [](Xoshiro256& rng, double rate) {
+    return static_cast<double>(rng.next() >> 11) * 0x1.0p-53 < rate;
+  };
+  FaultChannel::Draw d;
+  if (p.burst_rate > 0.0 && ch.burst_remaining == 0 &&
+      hit(ch.burst_rng, p.burst_rate)) {
+    ch.burst_remaining = p.burst_length;
+    d.burst_started = true;
+  }
+  d.dropped = p.dropped_rate > 0.0 && hit(ch.drop_rng, p.dropped_rate);
+  d.stale = p.stale_rate > 0.0 && hit(ch.stale_rng, p.stale_rate);
+  if (p.false_absent_rate > 0.0) {
+    for (const std::uint64_t m : masks) {
+      if (hit(ch.absent_rng, p.false_absent_rate)) d.evict_mask |= m;
+    }
+  }
+  if (p.false_present_rate > 0.0) {
+    for (const std::uint64_t m : masks) {
+      if (hit(ch.present_rng, p.false_present_rate)) d.inject_mask |= m;
+    }
+  }
+  if (ch.burst_remaining > 0) {
+    --ch.burst_remaining;
+    d.burst = true;
+    for (const std::uint64_t m : masks) {
+      if (ch.burst_rng.coin() != 0) d.garbage |= m;
+    }
+  }
+  return d;
+}
+
+TEST(FaultThreshold, IsTheDoubleCompareBoundary) {
+  // A draw k = next() >> 11 hits iff k * 2^-53 < rate; the channel tests
+  // k < hit_threshold(rate) instead.  T - 1 must hit and T miss (when T
+  // is a 53-bit value at all), and random draws must agree.
+  const auto double_hit = [](std::uint64_t k, double rate) {
+    return static_cast<double>(k) * 0x1.0p-53 < rate;
+  };
+  constexpr std::uint64_t kAll = std::uint64_t{1} << 53;
+  const FaultProfile moderate = FaultProfile::moderate();
+  const FaultProfile saturating = FaultProfile::saturating();
+  const double rates[] = {moderate.false_absent_rate,
+                          moderate.dropped_rate,
+                          moderate.stale_rate,
+                          moderate.burst_rate,
+                          saturating.false_absent_rate,
+                          saturating.false_present_rate,
+                          saturating.dropped_rate,
+                          saturating.stale_rate,
+                          saturating.burst_rate,
+                          0.5,
+                          1.0,
+                          1.5,
+                          0x1.0p-60,
+                          std::numeric_limits<double>::denorm_min()};
+  Xoshiro256 rng{0x7B0};
+  for (const double rate : rates) {
+    SCOPED_TRACE(rate);
+    const std::uint64_t t = FaultChannel::hit_threshold(rate);
+    ASSERT_GE(t, 1u);
+    ASSERT_LE(t, kAll);
+    EXPECT_TRUE(double_hit(t - 1, rate));
+    if (t < kAll) EXPECT_FALSE(double_hit(t, rate));
+    if (rate >= 1.0) EXPECT_EQ(t, kAll);
+    for (unsigned i = 0; i < 1000000; ++i) {
+      const std::uint64_t k = rng.next() >> 11;
+      ASSERT_EQ(k < t, double_hit(k, rate)) << k;
+    }
+  }
+  EXPECT_EQ(FaultChannel::hit_threshold(0.0), 0u);
+  EXPECT_EQ(FaultChannel::hit_threshold(-0.5), 0u);
+}
+
+TEST(FaultThreshold, DrawMatchesTheDoubleCompareDraw) {
+  // Every Draw field and the State after each delivery must equal the
+  // double-compare draw's, on profiles that exercise each mode alone
+  // and together, for one-row and two-row lines.
+  constexpr unsigned kDraws = 100000;
+  FaultProfile absent;
+  absent.false_absent_rate = 1.0;
+  FaultProfile present;
+  present.false_present_rate = 1.0;
+  FaultProfile dropped;
+  dropped.dropped_rate = 1.0;
+  FaultProfile stale;
+  stale.stale_rate = 1.0;
+  FaultProfile burst;
+  burst.burst_rate = 1.0;
+  FaultProfile short_bursts = FaultProfile::saturating();
+  short_bursts.burst_length = 1;
+  const std::pair<const char*, FaultProfile> profiles[] = {
+      {"moderate", FaultProfile::moderate()},
+      {"saturating", FaultProfile::saturating()},
+      {"absent", absent},
+      {"present", present},
+      {"dropped", dropped},
+      {"stale", stale},
+      {"burst", burst},
+      {"burst_length 1", short_bursts}};
+  for (const unsigned line_words : {1u, 2u}) {
+    Gift64Platform::Config config;
+    config.cache.line_bytes = line_words;
+    const Gift64Platform inner{config, test_key(11)};
+    const TableLayout& layout = inner.layout();
+    const std::vector<unsigned> line_ids = inner.index_line_ids();
+    std::vector<std::uint64_t> masks;
+    for (unsigned r = 0; r < layout.sbox_rows(); ++r) {
+      const unsigned line = line_ids[r * layout.sbox_entries_per_row];
+      if (line >= masks.size()) masks.resize(line + 1, 0);
+      masks[line] |= std::uint64_t{1} << r;
+    }
+    for (const auto& [name, profile] : profiles) {
+      SCOPED_TRACE(std::string{name} + ", line words " +
+                   std::to_string(line_words));
+      FaultChannel channel{profile, layout, line_ids};
+      FaultChannel reference = channel;
+      Xoshiro256 rng{0xD7A3};
+      for (unsigned i = 0; i < kDraws; ++i) {
+        const FaultChannel::Draw got = channel.draw();
+        FaultChannel::State st = reference.state();
+        const FaultChannel::Draw want = double_compare_draw(profile, masks, st);
+        reference.restore(st);
+        ASSERT_EQ(got.garbage, want.garbage) << "draw " << i;
+        ASSERT_EQ(got.evict_mask, want.evict_mask) << "draw " << i;
+        ASSERT_EQ(got.inject_mask, want.inject_mask) << "draw " << i;
+        ASSERT_EQ(got.burst_started, want.burst_started) << "draw " << i;
+        ASSERT_EQ(got.burst, want.burst) << "draw " << i;
+        ASSERT_EQ(got.dropped, want.dropped) << "draw " << i;
+        ASSERT_EQ(got.stale, want.stale) << "draw " << i;
+        Observation probe;
+        probe.present = LineSet::from_word(rng.next(), layout.sbox_rows());
+        Observation copy = probe;
+        channel.apply(got, probe);
+        reference.apply(want, copy);
+        ASSERT_TRUE(channel.state() == reference.state()) << "draw " << i;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/key128.h"
@@ -46,6 +47,66 @@ void expect_trace_prefix(const gift::VectorTraceSink& partial,
     EXPECT_EQ(p[i].round, f[i].round) << "access " << i;
     EXPECT_EQ(p[i].segment, f[i].segment) << "access " << i;
     EXPECT_EQ(p[i].index, f[i].index) << "access " << i;
+  }
+}
+
+/// The wide path's split run: rounds [0, f) without a sink, then
+/// encrypt_rounds_from(f) with one, must return the one-call state and
+/// emit exactly the one-call accesses of rounds f and later, at every f.
+template <typename Cipher, typename Block, typename Schedule>
+void expect_split_runs_match(const Cipher& cipher, Block pt,
+                             const Schedule& schedule, unsigned rounds) {
+  gift::VectorTraceSink whole;
+  const Block want = cipher.encrypt_with_schedule(pt, schedule, rounds, &whole);
+  const auto& w = whole.accesses();
+  for (unsigned f = 0; f <= rounds; ++f) {
+    SCOPED_TRACE("rounds " + std::to_string(rounds) + " split at " +
+                 std::to_string(f));
+    const Block before = cipher.encrypt_with_schedule(
+        pt, schedule, f, static_cast<gift::NullSink*>(nullptr));
+    gift::VectorTraceSink after;
+    EXPECT_EQ(cipher.encrypt_rounds_from(before, schedule, f, rounds, &after),
+              want);
+    EXPECT_EQ(after.rounds_seen(), rounds - f);
+    const std::size_t skip = f < rounds ? whole.round_begin_index(f) : w.size();
+    const auto& a = after.accesses();
+    ASSERT_EQ(a.size(), w.size() - skip);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].addr, w[skip + i].addr) << "access " << i;
+      EXPECT_EQ(a[i].kind, w[skip + i].kind) << "access " << i;
+      EXPECT_EQ(a[i].round, w[skip + i].round) << "access " << i;
+      EXPECT_EQ(a[i].segment, w[skip + i].segment) << "access " << i;
+      EXPECT_EQ(a[i].index, w[skip + i].index) << "access " << i;
+    }
+  }
+}
+
+TEST(PartialRound, SplitRunsMatchOneRunForEveryTableCipher) {
+  Xoshiro256 rng{0x5917};
+  {
+    const gift::TableGift64 cipher;
+    const auto schedule = cipher.make_schedule(rng.key128());
+    for (const unsigned rounds : {5u, gift::Gift64::kRounds}) {
+      expect_split_runs_match(cipher, rng.block64(), schedule, rounds);
+    }
+  }
+  {
+    const gift::TableGift128 cipher;
+    const auto schedule = cipher.make_schedule(rng.key128());
+    for (const unsigned rounds : {4u, gift::Gift128::kRounds}) {
+      expect_split_runs_match(cipher, gift::State128{rng.block64(), rng.block64()},
+                              schedule, rounds);
+    }
+  }
+  {
+    // Full depth is 31 rounds plus the whitening, which a split run must
+    // apply exactly once, also when the split falls after the last round.
+    const present::TablePresent80 cipher;
+    const Key128 key{rng.block64() & 0xFFFF, rng.block64()};
+    const auto schedule = present::TablePresent80::make_schedule(key);
+    for (const unsigned rounds : {3u, present::Present80::kRounds}) {
+      expect_split_runs_match(cipher, rng.block64(), schedule, rounds);
+    }
   }
 }
 

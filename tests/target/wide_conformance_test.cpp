@@ -276,6 +276,29 @@ TYPED_TEST(WideConformance, ObserveWideBitIdenticalToScalar) {
   }
 }
 
+TYPED_TEST(WideConformance, FanOutTableMatchesTheLoops) {
+  // The presence shortcut maps line verdicts to present rows through
+  // per-byte tables; on every verdict word they must give what the
+  // slot-then-row loops give.
+  using Core = typename TestFixture::Core;
+  using PlatformConfig = typename TestFixture::PlatformConfig;
+  PlatformConfig packed;
+  packed.layout.sbox_entries_per_row = 2;
+  PlatformConfig two_words;
+  two_words.cache.line_bytes = 2;
+  for (const auto& [name, config] :
+       {std::pair{"default", PlatformConfig{}},
+        std::pair{"2 entries per row", packed},
+        std::pair{"2-word lines", two_words}}) {
+    SCOPED_TRACE(name);
+    const Core core{config.cache, config.layout};
+    EXPECT_NE(core.fan_out(0xFFFF), 0u);
+    for (std::uint64_t bits = 0; bits < (1u << 16); ++bits) {
+      ASSERT_EQ(core.fan_out_tabulated(bits), core.fan_out(bits)) << bits;
+    }
+  }
+}
+
 TYPED_TEST(WideConformance, ObserveWideWithoutFlushMatchesScalar) {
   // use_flush = false moves the attacker's flush before round 0, so the
   // shortcut must count every emitted round.
@@ -478,10 +501,8 @@ TYPED_TEST(WideConformance, WideEngineLanesMatchScalarTrialsUnderFaults) {
   // be skipped.  The saturating legs discard about two probes in three.
   // On the 2-way caches the moderate channel defeats vote 2 and every
   // trial spends its budget, so those legs run a smaller one.  A lane
-  // replicates the scalar engine at max_batch 1; on FIFO and prefetch
-  // caches the scalar engine's discarded speculative encryptions still
-  // advance its cache, so its default batching is not that engine there
-  // and the reference runs unbatched.
+  // replicates the scalar engine at max_batch 1, which recover_key runs
+  // on the FIFO and prefetch caches whatever the config asks.
   using Recovery = TypeParam;
   using Config = typename KeyRecoveryEngine<Recovery>::Config;
   using PlatformConfig = typename DirectProbePlatform<Recovery>::Config;
@@ -516,14 +537,10 @@ TYPED_TEST(WideConformance, WideEngineLanesMatchScalarTrialsUnderFaults) {
     for (const auto& [profile_name, config] :
          {std::pair{"moderate", shallow ? shallow_moderate : moderate},
           std::pair{"saturating", saturating}}) {
-      Config reference = config;
-      if (!WideObserveCore<Recovery>::supported(platform.cache)) {
-        reference.max_batch = 1;
-      }
       std::vector<RecoveryResult<Recovery>> refs;
       refs.reserve(kTrials);
       for (const WideTrialSpec& spec : specs) {
-        refs.push_back(this->scalar_reference(spec, reference, platform));
+        refs.push_back(this->scalar_reference(spec, config, platform));
       }
       for (const unsigned width : {1u, 64u}) {
         WideRecoveryEngine<Recovery> engine{config, platform};
