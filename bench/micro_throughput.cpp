@@ -26,6 +26,7 @@
 #include "noc/network.h"
 #include "present/present.h"
 #include "runner/trial_runner.h"
+#include "target/gift128_recovery.h"
 #include "target/gift64_recovery.h"
 #include "target/platform.h"
 #include "target/present80_recovery.h"
@@ -131,6 +132,40 @@ void BM_TableGift64Instrumented(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TableGift64Instrumented);
+
+/// The attacker's work per monitored encryption at stage range(0): one
+/// Crafter::craft (Algorithm 2, pulled back through the recovered rounds)
+/// and one pre_key_nibbles (the predicted pre-key state), cycling the
+/// target segment.  The recovered round keys are random.
+template <typename Recovery>
+void craft_and_predict(benchmark::State& state) {
+  const auto stage = static_cast<unsigned>(state.range(0));
+  Xoshiro256 rng{0xC4AF7 + stage};
+  std::vector<typename Recovery::StageKey> recovered(stage);
+  for (auto& rk : recovered) {
+    const std::uint64_t w = rng.next();
+    rk.u = static_cast<decltype(rk.u)>(w);
+    rk.v = static_cast<decltype(rk.v)>(w >> 32);
+  }
+  typename Recovery::Crafter crafter{rng};
+  unsigned segment = 0;
+  for (auto _ : state) {
+    const auto pt = crafter.craft(segment, recovered, stage);
+    benchmark::DoNotOptimize(Recovery::pre_key_nibbles(pt, recovered, stage));
+    segment = (segment + 1) % Recovery::kSegments;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_Gift64Craft(benchmark::State& state) {
+  craft_and_predict<target::Gift64Recovery>(state);
+}
+BENCHMARK(BM_Gift64Craft)->DenseRange(0, 3);
+
+void BM_Gift128Craft(benchmark::State& state) {
+  craft_and_predict<target::Gift128Recovery>(state);
+}
+BENCHMARK(BM_Gift128Craft)->DenseRange(0, 1);
 
 void BM_CacheAccess(benchmark::State& state) {
   cachesim::Cache cache{cachesim::CacheConfig::paper_default()};

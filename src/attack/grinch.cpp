@@ -116,9 +116,6 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
   CrossRoundSolver solver;
   PlaintextCrafter crafter{rng_};
 
-  std::array<TargetBits, 16> targets{};
-  for (unsigned s = 0; s < 16; ++s) targets[s] = set_target_bits(s);
-
   const bool solver_enabled = config_.use_cross_round;
   unsigned stall = 0;
   unsigned craft_rotation = 0;
@@ -182,8 +179,8 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
     }
     // guess_keys now covers rounds 0..stage-1 (exact prefix + one guess).
     assert(guess_keys.size() >= stage);
-    const std::uint64_t plaintext =
-        crafter.craft_plaintext(targets[target_segment], guess_keys, stage);
+    const std::uint64_t plaintext = crafter.craft_plaintext(
+        kTargetBits[target_segment], guess_keys, stage);
 
     // Step 2 — one monitored encryption + probe (precision-probing
     // platforms time their probe to the focused segment's access).

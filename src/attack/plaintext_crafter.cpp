@@ -2,24 +2,25 @@
 
 #include <cassert>
 
-#include "common/bits.h"
 #include "gift/gift64.h"
 
 namespace grinch::attack {
 
 std::uint64_t PlaintextCrafter::craft_state(const TargetBits& target) {
+  // One draw per segment from a register copy of the generator, written
+  // back once.  A list pick is uniform(8), which on a power-of-two bound
+  // is the draw's low 3 bits, and a free segment is its low nibble, so
+  // the stream is the one uniform() and nibble() would consume.
+  Xoshiro256 rng = *rng_;
   std::uint64_t state = 0;
   for (unsigned i = 0; i < 16; ++i) {
-    unsigned value;
-    if (i == target.seg_a) {
-      value = target.list_a[rng_->uniform(target.list_a.size())];
-    } else if (i == target.seg_b) {
-      value = target.list_b[rng_->uniform(target.list_b.size())];
-    } else {
-      value = rng_->nibble();
-    }
-    state = with_nibble(state, i, value);
+    const std::uint64_t w = rng.next();
+    const std::uint64_t value = i == target.seg_a   ? target.list_a[w & 7]
+                                : i == target.seg_b ? target.list_b[w & 7]
+                                                    : w & 0xF;
+    state |= value << (4 * i);
   }
+  *rng_ = rng;
   return state;
 }
 

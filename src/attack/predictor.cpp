@@ -5,8 +5,6 @@
 #include "common/bits.h"
 #include "gift/constants.h"
 #include "gift/gift64.h"
-#include "gift/permutation.h"
-#include "gift/sbox.h"
 
 namespace grinch::attack {
 
@@ -28,11 +26,9 @@ std::uint64_t pre_key_state(std::uint64_t plaintext,
   for (unsigned r = 0; r < stage; ++r) {
     state = gift::Gift64::round_function(state, known_round_keys[r], r);
   }
-  // Round `stage` up to (but excluding) the key XOR.
-  state = gift::gift_sbox().apply_state64(state);
-  state = gift::gift64_permutation().apply64(state);
-  state = gift::add_constant64(state, gift::round_constant(stage));
-  return state;
+  // A zero round key makes AddRoundKey the identity, so a full round with
+  // it yields exactly the pre-key state (constants included).
+  return gift::Gift64::round_function(state, gift::RoundKey64{}, stage);
 }
 
 std::array<unsigned, 16> pre_key_nibbles(

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,6 +51,32 @@ bool lines_separate_candidates(unsigned line_words) {
     }
   }
   return true;
+}
+
+/// Reads `value` into `field`, or returns what the field takes: as_string,
+/// as_bool and as_u64 would put their fallback in its place, and a cast
+/// would wrap a number too large for an `unsigned` field.
+std::string read_field(const json::Value& value, std::string& field) {
+  if (!value.is_string()) return "a string";
+  field = value.as_string();
+  return {};
+}
+
+std::string read_field(const json::Value& value, bool& field) {
+  if (!value.is_bool()) return "true or false";
+  field = value.as_bool();
+  return {};
+}
+
+template <typename T>
+std::string read_field(const json::Value& value, T& field) {
+  const std::optional<std::uint64_t> number = value.to_u64();
+  if (!number || *number > std::numeric_limits<T>::max()) {
+    return "a whole number up to " +
+           std::to_string(std::numeric_limits<T>::max());
+  }
+  field = static_cast<T>(*number);
+  return {};
 }
 
 bool lines_separate_candidates(std::string_view cipher, unsigned line_words) {
@@ -124,34 +152,39 @@ std::optional<CampaignSpec> CampaignSpec::from_json(const json::Value& doc,
   }
   CampaignSpec spec;
   for (const auto& [key, value] : doc.members()) {
+    std::string takes;
     if (key == "name") {
-      spec.name = value.as_string(spec.name);
+      takes = read_field(value, spec.name);
     } else if (key == "cipher") {
-      spec.cipher = value.as_string(spec.cipher);
+      takes = read_field(value, spec.cipher);
     } else if (key == "trials") {
-      spec.trials = value.as_u64(0);
+      takes = read_field(value, spec.trials);
     } else if (key == "seed") {
-      spec.seed = value.as_u64(spec.seed);
+      takes = read_field(value, spec.seed);
     } else if (key == "fault_seed") {
-      spec.fault_seed = value.as_u64(spec.fault_seed);
+      takes = read_field(value, spec.fault_seed);
     } else if (key == "wide_width") {
-      spec.wide_width = static_cast<unsigned>(value.as_u64(0));
+      takes = read_field(value, spec.wide_width);
     } else if (key == "budget") {
-      spec.budget = value.as_u64(0);
+      takes = read_field(value, spec.budget);
     } else if (key == "fault_profile") {
-      spec.fault_profile = value.as_string(spec.fault_profile);
+      takes = read_field(value, spec.fault_profile);
     } else if (key == "vote_threshold") {
-      spec.vote_threshold = static_cast<unsigned>(value.as_u64(99));
+      takes = read_field(value, spec.vote_threshold);
     } else if (key == "finish") {
-      spec.finish = value.as_bool(spec.finish);
+      takes = read_field(value, spec.finish);
     } else if (key == "finish_budget") {
-      spec.finish_budget = value.as_u64(spec.finish_budget);
+      takes = read_field(value, spec.finish_budget);
     } else if (key == "line_words") {
-      spec.line_words = static_cast<unsigned>(value.as_u64(0));
+      takes = read_field(value, spec.line_words);
     } else if (key == "probing_round") {
-      spec.probing_round = static_cast<unsigned>(value.as_u64(0));
+      takes = read_field(value, spec.probing_round);
     } else {
       set_error(error, "unknown spec key '" + key + "'");
+      return std::nullopt;
+    }
+    if (!takes.empty()) {
+      set_error(error, "spec key '" + key + "' takes " + takes);
       return std::nullopt;
     }
   }

@@ -194,16 +194,23 @@ std::string Value::as_string(const std::string& fallback) const {
 }
 
 std::uint64_t Value::as_u64(std::uint64_t fallback) const noexcept {
+  return to_u64().value_or(fallback);
+}
+
+std::optional<std::uint64_t> Value::to_u64() const noexcept {
   switch (kind_) {
     case Kind::kUint: return uint_;
     case Kind::kInt:
-      return int_ >= 0 ? static_cast<std::uint64_t>(int_) : fallback;
+      if (int_ >= 0) return static_cast<std::uint64_t>(int_);
+      return std::nullopt;
     case Kind::kDouble:
-      return (double_ >= 0 && double_ == std::floor(double_) &&
-              double_ <= 1.8446744073709552e19)
-                 ? static_cast<std::uint64_t>(double_)
-                 : fallback;
-    default: return fallback;
+      // 2^64 itself does not fit: the double bound is exclusive.
+      if (double_ >= 0 && double_ == std::floor(double_) &&
+          double_ < 18446744073709551616.0) {
+        return static_cast<std::uint64_t>(double_);
+      }
+      return std::nullopt;
+    default: return std::nullopt;
   }
 }
 

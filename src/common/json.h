@@ -83,6 +83,8 @@ class Value {
   /// reads reject non-integral doubles).
   [[nodiscard]] std::string as_string(const std::string& fallback = "") const;
   [[nodiscard]] std::uint64_t as_u64(std::uint64_t fallback = 0) const noexcept;
+  /// The number as_u64 reads; nullopt where it would fall back.
+  [[nodiscard]] std::optional<std::uint64_t> to_u64() const noexcept;
   [[nodiscard]] double as_double(double fallback = 0.0) const noexcept;
   [[nodiscard]] bool as_bool(bool fallback = false) const noexcept;
 

@@ -65,4 +65,25 @@ static_assert(kRoundConstants[kRoundConstantPeriod - 1] == 0,
   return state;
 }
 
+namespace detail {
+
+/// add_constant64(0, c) for each constant of one LFSR period.
+inline constexpr auto kRoundConstantWords = [] {
+  std::array<std::uint64_t, kRoundConstantPeriod> words{};
+  for (unsigned r = 0; r < kRoundConstantPeriod; ++r) {
+    words[r] = add_constant64(0, kRoundConstants[r]);
+  }
+  return words;
+}();
+
+}  // namespace detail
+
+/// The whole constant addition of (0-based) round `round` as one word:
+/// GIFT-64 XORs it into its state; GIFT-128 XORs its bits below the MSB
+/// into its low half and the MSB into its high half.
+[[nodiscard]] constexpr std::uint64_t round_constant_word(
+    unsigned round) noexcept {
+  return detail::kRoundConstantWords[round % detail::kRoundConstantPeriod];
+}
+
 }  // namespace grinch::gift

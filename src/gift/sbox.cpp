@@ -44,9 +44,7 @@ std::uint64_t SBox::invert_state64(std::uint64_t state) const noexcept {
 }
 
 const SBox& gift_sbox() {
-  // GS from eprint 2017/622, Table 1: x -> GS(x).
-  static const SBox sbox{{0x1, 0xa, 0x4, 0xc, 0x6, 0xf, 0x3, 0x9, 0x2, 0xd,
-                          0xb, 0x7, 0x5, 0x0, 0x8, 0xe}};
+  static const SBox sbox{kGiftSBox};
   return sbox;
 }
 

@@ -15,17 +15,14 @@ TableGift128::TableGift128(const TableLayout& layout) : layout_(layout) {
     sbox_table_[v] = static_cast<std::uint8_t>(sbox.apply(v));
     sbox_addr_[v] = layout_.sbox_row_addr(v);
   }
-  const BitPermutation& perm = gift128_permutation();
   for (unsigned s = 0; s < 32; ++s) {
     for (unsigned v = 0; v < 16; ++v) {
-      std::uint64_t hi = 0, lo = 0;
-      if (s < 16)
-        lo = static_cast<std::uint64_t>(v) << (4 * s);
-      else
-        hi = static_cast<std::uint64_t>(v) << (4 * (s - 16));
-      perm.apply128(hi, lo);
-      perm_hi_[s][v] = hi;
-      perm_lo_[s][v] = lo;
+      State128 image;
+      for (unsigned k = 0; k < 4; ++k) {
+        image.xor_bit(gift_p_bit(128, 4 * s + k), (v >> k) & 1u);
+      }
+      perm_hi_[s][v] = image.hi;
+      perm_lo_[s][v] = image.lo;
     }
   }
 }

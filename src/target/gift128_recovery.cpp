@@ -2,34 +2,7 @@
 
 #include <cassert>
 
-#include "gift/permutation.h"
-#include "gift/sbox.h"
-
 namespace grinch::target {
-
-TargetBits128 set_target_bits128(unsigned segment) {
-  assert(segment < 32);
-  const gift::BitPermutation& perm = gift::gift128_permutation();
-  const gift::SBox& sbox = gift::gift_sbox();
-
-  TargetBits128 t;
-  t.segment = segment;
-  t.bit_a = perm.inverse(4 * segment + 1);  // V_s position
-  t.bit_b = perm.inverse(4 * segment + 2);  // U_s position
-  t.seg_a = t.bit_a / 4;
-  t.seg_b = t.bit_b / 4;
-
-  const unsigned out_a = t.bit_a % 4;
-  const unsigned out_b = t.bit_b % 4;
-  t.list_a.reserve(8);  // every GIFT S-Box output bit is balanced
-  t.list_b.reserve(8);
-  for (unsigned x = 0; x < 16; ++x) {
-    const unsigned y = sbox.apply(x);
-    if ((y >> out_a) & 1u) t.list_a.push_back(x);
-    if ((y >> out_b) & 1u) t.list_b.push_back(x);
-  }
-  return t;
-}
 
 std::array<unsigned, 32> pre_key_nibbles128(
     gift::State128 plaintext,
@@ -48,21 +21,22 @@ std::array<unsigned, 32> pre_key_nibbles128(
 }
 
 gift::State128 PlaintextCrafter128::craft_state(const TargetBits128& target) {
+  // One draw per segment from a register copy of the generator, written
+  // back once: a list pick is uniform(8), the draw's low 3 bits on that
+  // power-of-two bound, and a free segment is the draw's low nibble.
+  Xoshiro256 rng = *rng_;
   gift::State128 state{};
   for (unsigned s = 0; s < 32; ++s) {
-    unsigned value;
-    if (s == target.seg_a) {
-      value = target.list_a[rng_->uniform(target.list_a.size())];
-    } else if (s == target.seg_b) {
-      value = target.list_b[rng_->uniform(target.list_b.size())];
-    } else {
-      value = rng_->nibble();
-    }
+    const std::uint64_t w = rng.next();
+    const std::uint64_t value = s == target.seg_a   ? target.list_a[w & 7]
+                                : s == target.seg_b ? target.list_b[w & 7]
+                                                    : w & 0xF;
     if (s < 16)
-      state.lo |= static_cast<std::uint64_t>(value) << (4 * s);
+      state.lo |= value << (4 * s);
     else
-      state.hi |= static_cast<std::uint64_t>(value) << (4 * (s - 16));
+      state.hi |= value << (4 * (s - 16));
   }
+  *rng_ = rng;
   return state;
 }
 

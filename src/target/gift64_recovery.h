@@ -44,18 +44,16 @@ struct Gift64Recovery : Gift64Traits {
 
   class Crafter {
    public:
-    explicit Crafter(Xoshiro256& rng) : inner_(rng) {
-      for (unsigned s = 0; s < 16; ++s) targets_[s] = attack::set_target_bits(s);
-    }
+    explicit Crafter(Xoshiro256& rng) : inner_(rng) {}
     [[nodiscard]] std::uint64_t craft(
         unsigned segment, const std::vector<gift::RoundKey64>& recovered,
         unsigned stage) {
-      return inner_.craft_plaintext(targets_[segment], recovered, stage);
+      return inner_.craft_plaintext(attack::kTargetBits[segment], recovered,
+                                    stage);
     }
 
    private:
     attack::PlaintextCrafter inner_;
-    std::array<attack::TargetBits, 16> targets_{};
   };
 
   static std::array<unsigned, 16> pre_key_nibbles(

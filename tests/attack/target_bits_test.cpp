@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/rng.h"
 #include "gift/permutation.h"

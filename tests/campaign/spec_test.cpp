@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 
 namespace grinch::campaign {
 namespace {
@@ -98,6 +100,49 @@ TEST(CampaignSpec, UnknownKeysRejected) {
   std::string err;
   EXPECT_FALSE(CampaignSpec::parse(R"({"trils":9})", &err).has_value());
   EXPECT_NE(err.find("trils"), std::string::npos);
+}
+
+TEST(CampaignSpec, ValuesThatDoNotFitTheirFieldRejected) {
+  // Each of these would otherwise run a campaign other than the one the
+  // file names: a number too large for an `unsigned` field wraps, and a
+  // value of another kind leaves the field at its default.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"wide_width":4294967304})", "wide_width"},
+      {R"({"line_words":4294967297})", "line_words"},
+      {R"({"probing_round":4294967297})", "probing_round"},
+      {R"({"vote_threshold":4294967298})", "vote_threshold"},
+      {R"({"seed":"12345"})", "seed"},
+      {R"({"seed":18446744073709551616})", "seed"},
+      {R"({"finish":"yes"})", "finish"},
+      {R"({"finish":1})", "finish"},
+      {R"({"trials":-1})", "trials"},
+      {R"({"budget":2.5})", "budget"},
+      {R"({"fault_seed":true})", "fault_seed"},
+      {R"({"finish_budget":null})", "finish_budget"},
+      {R"({"cipher":7})", "cipher"},
+      {R"({"name":["x"]})", "name"},
+      {R"({"fault_profile":{}})", "fault_profile"},
+  };
+  for (const auto& [text, key] : cases) {
+    std::string err;
+    EXPECT_FALSE(CampaignSpec::parse(text, &err).has_value()) << text;
+    EXPECT_NE(err.find(std::string{"'"} + key + "'"), std::string::npos)
+        << text << ": " << err;
+  }
+}
+
+TEST(CampaignSpec, WholeNumbersUpToTheFieldMaximumAccepted) {
+  std::string err;
+  const auto parsed = CampaignSpec::parse(
+      R"({"seed":18446744073709551615,"trials":3.0,"wide_width":64,)"
+      R"("finish":true,"name":"edge"})",
+      &err);
+  ASSERT_TRUE(parsed.has_value()) << err;
+  EXPECT_EQ(parsed->seed, ~std::uint64_t{0});
+  EXPECT_EQ(parsed->trials, 3u);
+  EXPECT_EQ(parsed->wide_width, 64u);
+  EXPECT_TRUE(parsed->finish);
+  EXPECT_EQ(parsed->name, "edge");
 }
 
 TEST(CampaignSpec, MalformedJsonRejectedWithDiagnostic) {

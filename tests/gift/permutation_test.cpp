@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/rng.h"
-#include "gift/gift128.h"
 #include "oracle/layer_oracle.h"
 
 namespace grinch::gift {
@@ -22,19 +21,6 @@ constexpr int kSamples = 10000;
     return ::testing::AssertionSuccess();
   }
   return ::testing::AssertionFailure() << "state 0x" << std::hex << v;
-}
-
-::testing::AssertionResult matches_oracle128(const BitPermutation& p,
-                                             State128 v) {
-  State128 fwd = v, inv = v;
-  p.apply128(fwd.hi, fwd.lo);
-  p.invert128(inv.hi, inv.lo);
-  if (fwd == oracle::permute128(p, v) &&
-      inv == oracle::permute128(p, v, true)) {
-    return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << "state 0x" << std::hex << v.hi << ":" << v.lo;
 }
 
 TEST(Permutation, Gift64KnownEntries) {
@@ -88,39 +74,6 @@ TEST(Permutation, Invert64UndoesApply64) {
   }
 }
 
-TEST(Permutation, Apply128MovesIndividualBits) {
-  const BitPermutation& p = gift128_permutation();
-  for (unsigned i = 0; i < 128; ++i) {
-    std::uint64_t hi = 0, lo = 0;
-    if (i < 64)
-      lo = std::uint64_t{1} << i;
-    else
-      hi = std::uint64_t{1} << (i - 64);
-    p.apply128(hi, lo);
-    const unsigned j = p.forward(i);
-    if (j < 64) {
-      EXPECT_EQ(lo, std::uint64_t{1} << j);
-      EXPECT_EQ(hi, 0u);
-    } else {
-      EXPECT_EQ(hi, std::uint64_t{1} << (j - 64));
-      EXPECT_EQ(lo, 0u);
-    }
-  }
-}
-
-TEST(Permutation, Invert128UndoesApply128) {
-  Xoshiro256 rng{21};
-  const BitPermutation& p = gift128_permutation();
-  for (int i = 0; i < 50; ++i) {
-    std::uint64_t hi = rng.block64(), lo = rng.block64();
-    const std::uint64_t oh = hi, ol = lo;
-    p.apply128(hi, lo);
-    p.invert128(hi, lo);
-    EXPECT_EQ(hi, oh);
-    EXPECT_EQ(lo, ol);
-  }
-}
-
 TEST(Permutation, Apply64MatchesPerBitOracle) {
   // GIFT-64 PermBits and the PRESENT pLayer, both directions: every
   // byte-image entry (one nonzero byte at a time), then random states.
@@ -135,20 +88,6 @@ TEST(Permutation, Apply64MatchesPerBitOracle) {
     for (int i = 0; i < kSamples; ++i) {
       ASSERT_TRUE(matches_oracle64(*p, rng.block64()));
     }
-  }
-}
-
-TEST(Permutation, Apply128MatchesPerBitOracle) {
-  Xoshiro256 rng{23};
-  const BitPermutation& p = gift128_permutation();
-  for (unsigned b = 0; b < 8; ++b) {
-    for (std::uint64_t v = 0; v < 256; ++v) {
-      ASSERT_TRUE(matches_oracle128(p, {0, v << (8 * b)}));
-      ASSERT_TRUE(matches_oracle128(p, {v << (8 * b), 0}));
-    }
-  }
-  for (int i = 0; i < kSamples; ++i) {
-    ASSERT_TRUE(matches_oracle128(p, {rng.block64(), rng.block64()}));
   }
 }
 

@@ -95,26 +95,37 @@ inline gift::State128 constant_bits(std::uint8_t c, unsigned msb) {
   return s;
 }
 
+/// GIFT-64 round r: SubCells, PermBits, AddRoundKey with `rk`, then the
+/// constant of round r and the MSB.  A zero `rk` leaves the pre-key state.
+inline std::uint64_t gift64_round(std::uint64_t state,
+                                  const gift::RoundKey64& rk, unsigned r) {
+  state = sub_cells64(gift::gift_sbox(), state);
+  state = permute64(gift::gift64_permutation(), state);
+  state = add_round_key64(state, rk);
+  return state ^ constant_bits(lfsr_constants<63>()[r % 63], 63).lo;
+}
+
+inline std::uint64_t gift64_inverse_round(std::uint64_t state,
+                                          const gift::RoundKey64& rk,
+                                          unsigned r) {
+  state ^= constant_bits(lfsr_constants<63>()[r % 63], 63).lo;
+  state = add_round_key64(state, rk);
+  state = permute64(gift::gift64_permutation(), state, true);
+  return sub_cells64(gift::gift_sbox(), state, true);
+}
+
 inline std::uint64_t gift64_encrypt(std::uint64_t state, const Key128& key) {
-  const auto constants = lfsr_constants<28>();
   const gift::KeySchedule schedule{key, 28};
   for (unsigned r = 0; r < 28; ++r) {
-    state = sub_cells64(gift::gift_sbox(), state);
-    state = permute64(gift::gift64_permutation(), state);
-    state = add_round_key64(state, schedule.round_key64(r));
-    state ^= constant_bits(constants[r], 63).lo;
+    state = gift64_round(state, schedule.round_key64(r), r);
   }
   return state;
 }
 
 inline std::uint64_t gift64_decrypt(std::uint64_t state, const Key128& key) {
-  const auto constants = lfsr_constants<28>();
   const gift::KeySchedule schedule{key, 28};
   for (unsigned r = 28; r-- > 0;) {
-    state ^= constant_bits(constants[r], 63).lo;
-    state = add_round_key64(state, schedule.round_key64(r));
-    state = permute64(gift::gift64_permutation(), state, true);
-    state = sub_cells64(gift::gift_sbox(), state, true);
+    state = gift64_inverse_round(state, schedule.round_key64(r), r);
   }
   return state;
 }
@@ -123,28 +134,38 @@ inline gift::State128 xor128(gift::State128 a, gift::State128 b) {
   return {a.hi ^ b.hi, a.lo ^ b.lo};
 }
 
+/// GIFT-128 round r, as gift64_round.
+inline gift::State128 gift128_round(gift::State128 state,
+                                    const gift::RoundKey128& rk, unsigned r) {
+  state = sub_cells128(state);
+  state = permute128(gift::gift128_permutation(), state);
+  state = add_round_key128(state, rk);
+  return xor128(state, constant_bits(lfsr_constants<63>()[r % 63], 127));
+}
+
+inline gift::State128 gift128_inverse_round(gift::State128 state,
+                                            const gift::RoundKey128& rk,
+                                            unsigned r) {
+  state = xor128(state, constant_bits(lfsr_constants<63>()[r % 63], 127));
+  state = add_round_key128(state, rk);
+  state = permute128(gift::gift128_permutation(), state, true);
+  return sub_cells128(state, true);
+}
+
 inline gift::State128 gift128_encrypt(gift::State128 state,
                                       const Key128& key) {
-  const auto constants = lfsr_constants<40>();
   const gift::KeySchedule schedule{key, 40};
   for (unsigned r = 0; r < 40; ++r) {
-    state = sub_cells128(state);
-    state = permute128(gift::gift128_permutation(), state);
-    state = add_round_key128(state, schedule.round_key128(r));
-    state = xor128(state, constant_bits(constants[r], 127));
+    state = gift128_round(state, schedule.round_key128(r), r);
   }
   return state;
 }
 
 inline gift::State128 gift128_decrypt(gift::State128 state,
                                       const Key128& key) {
-  const auto constants = lfsr_constants<40>();
   const gift::KeySchedule schedule{key, 40};
   for (unsigned r = 40; r-- > 0;) {
-    state = xor128(state, constant_bits(constants[r], 127));
-    state = add_round_key128(state, schedule.round_key128(r));
-    state = permute128(gift::gift128_permutation(), state, true);
-    state = sub_cells128(state, true);
+    state = gift128_inverse_round(state, schedule.round_key128(r), r);
   }
   return state;
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bits.h"
 #include "common/rng.h"
 #include "gift/permutation.h"
@@ -77,6 +79,79 @@ TEST(Crafter128, DeepStageInversionRoundTrips) {
   const gift::State128 pt = crafter.craft_plaintext(t, keys, 1);
   const auto n = pre_key_nibbles128(pt, keys, 1);
   EXPECT_EQ(n[9] & 0x6, 0x6u);
+}
+
+/// PlaintextCrafter128's draws before they moved into registers: lists
+/// from the runtime S-Box and permutation, uniform() on each list and
+/// nibble() on every free segment.
+class UniformLoopCrafter128 {
+ public:
+  explicit UniformLoopCrafter128(unsigned segment) {
+    const gift::BitPermutation& perm = gift::gift128_permutation();
+    const unsigned bit_a = perm.inverse(4 * segment + 1);
+    const unsigned bit_b = perm.inverse(4 * segment + 2);
+    seg_a_ = bit_a / 4;
+    seg_b_ = bit_b / 4;
+    for (unsigned x = 0; x < 16; ++x) {
+      const unsigned y = gift::gift_sbox().apply(x);
+      if ((y >> (bit_a % 4)) & 1u) list_a_.push_back(x);
+      if ((y >> (bit_b % 4)) & 1u) list_b_.push_back(x);
+    }
+  }
+
+  gift::State128 craft_state(Xoshiro256& rng) const {
+    gift::State128 state{};
+    for (unsigned s = 0; s < 32; ++s) {
+      unsigned value;
+      if (s == seg_a_) {
+        value = list_a_[rng.uniform(list_a_.size())];
+      } else if (s == seg_b_) {
+        value = list_b_[rng.uniform(list_b_.size())];
+      } else {
+        value = rng.nibble();
+      }
+      if (s < 16)
+        state.lo |= static_cast<std::uint64_t>(value) << (4 * s);
+      else
+        state.hi |= static_cast<std::uint64_t>(value) << (4 * (s - 16));
+    }
+    return state;
+  }
+
+ private:
+  unsigned seg_a_ = 0;
+  unsigned seg_b_ = 0;
+  std::vector<unsigned> list_a_;
+  std::vector<unsigned> list_b_;
+};
+
+TEST(Crafter128, DrawStreamMatchesUniformLoop) {
+  // As Crafter.DrawStreamMatchesUniformLoop: 10^5 crafts per segment and
+  // stage give the old loop's plaintexts and generator state.
+  Xoshiro256 key_rng{0x57AF};
+  const std::vector<gift::RoundKey128> recovered{
+      {static_cast<std::uint32_t>(key_rng.next()),
+       static_cast<std::uint32_t>(key_rng.next())}};
+  for (unsigned stage = 0; stage < 2; ++stage) {
+    for (unsigned s = 0; s < 32; ++s) {
+      const UniformLoopCrafter128 reference{s};
+      Xoshiro256 rng{0x5EEE + 32 * stage + s};
+      Xoshiro256 reference_rng = rng;
+      PlaintextCrafter128 crafter{rng};
+      for (int i = 0; i < 100000; ++i) {
+        gift::State128 want = reference.craft_state(reference_rng);
+        for (unsigned r = stage; r-- > 0;) {
+          want = gift::Gift128::inverse_round_function(want, recovered[r], r);
+        }
+        ASSERT_EQ(
+            crafter.craft_plaintext(kTargetBits128[s], recovered, stage),
+            want)
+            << "segment " << s << " stage " << stage << " craft " << i;
+      }
+      ASSERT_TRUE(rng == reference_rng)
+          << "segment " << s << " stage " << stage;
+    }
+  }
 }
 
 TEST(Assemble128, RoundTripsThroughTheKeySchedule) {

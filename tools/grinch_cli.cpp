@@ -500,7 +500,8 @@ campaign::CampaignSpec spec_from_args(const Args& args) {
     std::string err;
     const auto parsed = campaign::CampaignSpec::parse(text, &err);
     if (!parsed) {
-      std::fprintf(stderr, "%s: %s\n", spec_path.c_str(), err.c_str());
+      std::fprintf(stderr, "bad campaign spec: %s: %s\n", spec_path.c_str(),
+                   err.c_str());
       std::exit(2);
     }
     spec = *parsed;
