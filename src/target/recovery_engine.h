@@ -18,7 +18,7 @@
 //   using Block / StageKey;
 //   static constexpr kName, kSegments, kStages, kCandidatesPerSegment,
 //                    kUpdateAllSegments, kDefaultSeed;
-//   class Crafter {  // owns any precomputed target-bit lists
+//   class Crafter {  // draws from the engine's RNG, which outlives it
 //     explicit Crafter(Xoshiro256& rng);
 //     Block craft(unsigned segment, const std::vector<StageKey>&, unsigned
 //                 stage);
