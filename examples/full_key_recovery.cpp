@@ -7,7 +7,6 @@
 #include <string>
 
 #include "attack/grinch.h"
-#include "attack/target_bits.h"
 #include "common/rng.h"
 #include "target/registry.h"
 
@@ -24,7 +23,7 @@ int main(int argc, char** argv) {
   std::printf("victim key (secret): %s\n\n", victim_key.to_hex().c_str());
 
   // Step 1 preview: Algorithm 1 for segment 0.
-  const attack::TargetBits t = attack::set_target_bits(0);
+  const auto& t = target::Gift64Recovery::kTargetBits[0];
   std::printf("Algorithm 1 for segment 0: pin S-Box output bits %u (seg %u) "
               "and %u (seg %u)\n",
               t.bit_a, t.seg_a, t.bit_b, t.seg_b);

@@ -2,11 +2,20 @@
 
 #include <cassert>
 
-#include "attack/predictor.h"
+#include "gift/constants.h"
 #include "gift/permutation.h"
 #include "gift/sbox.h"
 
 namespace grinch::attack {
+
+unsigned constant_nibble_contribution(unsigned round_index, unsigned segment) {
+  const std::uint8_t c = gift::round_constant(round_index);
+  unsigned contribution = 0;
+  // c_t -> state bit 4t+3 for t = 0..5; the fixed '1' -> bit 63 (seg 15).
+  if (segment < 6 && ((c >> segment) & 1u)) contribution = 0x8;
+  if (segment == 15) contribution ^= 0x8;
+  return contribution;
+}
 
 CrossRoundSolver::CrossRoundSolver() {
   const gift::BitPermutation& perm = gift::gift64_permutation();

@@ -27,6 +27,11 @@
 
 namespace grinch::attack {
 
+/// The round constant of round `round_index` in `segment`'s pre-key
+/// nibble (GIFT-64 constants touch only bit 3 of segments 0..5 and 15).
+[[nodiscard]] unsigned constant_nibble_contribution(unsigned round_index,
+                                                    unsigned segment);
+
 /// One probed encryption, prepared for cross-round propagation.
 struct CrossRoundObservation {
   /// Pre-key nibbles of the monitored round (known to the attacker).

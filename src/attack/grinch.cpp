@@ -5,13 +5,10 @@
 #include <cmath>
 
 #include "attack/cross_round.h"
-#include "attack/key_recovery.h"
 #include "attack/trace_driven.h"
-#include "attack/plaintext_crafter.h"
-#include "attack/predictor.h"
-#include "attack/target_bits.h"
 #include "common/bits.h"
 #include "gift/gift64.h"
+#include "target/gift64_recovery.h"
 
 namespace grinch::attack {
 
@@ -114,7 +111,7 @@ unsigned GrinchAttack::update_statistical(StageState& state, unsigned segment,
 StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
   StageReport report;
   CrossRoundSolver solver;
-  PlaintextCrafter crafter{rng_};
+  target::Gift64Recovery::Crafter crafter{rng_};
 
   const bool solver_enabled = config_.use_cross_round;
   unsigned stall = 0;
@@ -179,8 +176,8 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
     }
     // guess_keys now covers rounds 0..stage-1 (exact prefix + one guess).
     assert(guess_keys.size() >= stage);
-    const std::uint64_t plaintext = crafter.craft_plaintext(
-        kTargetBits[target_segment], guess_keys, stage);
+    const std::uint64_t plaintext =
+        crafter.craft(target_segment, guess_keys, stage);
 
     // Step 2 — one monitored encryption + probe (precision-probing
     // platforms time their probe to the focused segment's access).
@@ -198,7 +195,8 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
     // leftover candidates jointly with this round's own key bits.
     if (pending_prev) {
       CrossRoundObservation cro;
-      cro.pre_key_nibbles = pre_key_nibbles(plaintext, exact_keys_, stage - 1);
+      cro.pre_key_nibbles = target::Gift64Recovery::pre_key_nibbles(
+          plaintext, exact_keys_, stage - 1);
       cro.present = obs.present;
       cro.next_round_index = stage;
       progress += solver.propagate_to_fixpoint(
@@ -212,7 +210,8 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
       }
     } else if (!cleanup_phase) {
       // Step 3b — direct elimination on this stage's monitored round.
-      const auto nibbles = pre_key_nibbles(plaintext, exact_keys_, stage);
+      const auto nibbles = target::Gift64Recovery::pre_key_nibbles(
+          plaintext, exact_keys_, stage);
       const bool statistical =
           config_.statistical_elimination && line_hidden_mask() == 0;
       if (config_.exploit_all_segments) {
@@ -321,7 +320,8 @@ AttackResult GrinchAttack::run() {
   result.success = true;
 
   if (config_.stages == 4) {
-    result.recovered_key = assemble_master_key(result.round_keys);
+    result.recovered_key =
+        target::Gift64Recovery::assemble_master_key(result.round_keys);
     // Self-verify against one extra encryption's ciphertext.
     const std::uint64_t check_pt = rng_.block64();
     (void)source_->observe(check_pt, 0);

@@ -1,10 +1,10 @@
 // The GRINCH attack orchestrator — the five-step methodology of Fig. 2.
 //
-//   Step 1  Generate plaintext + encrypt   (TargetBits + PlaintextCrafter)
+//   Step 1  Generate plaintext + encrypt   (Gift64Recovery::Crafter)
 //   Step 2  Probe the cache                (the platform's prober)
 //   Step 3  Eliminate candidates           (CandidateEliminator, and
 //                                           CrossRoundSolver for coarse lines)
-//   Step 4  Reverse-engineer key bits      (key_recovery)
+//   Step 4  Reverse-engineer key bits      (Gift64Recovery key assembly)
 //   Step 5  Update plaintext generation    (advance to the next stage with
 //                                           the recovered round keys)
 //

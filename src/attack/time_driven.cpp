@@ -1,8 +1,8 @@
 #include "attack/time_driven.h"
 
-#include "attack/predictor.h"
 #include "common/bits.h"
 #include "soc/victim.h"
+#include "target/gift64_recovery.h"
 
 namespace grinch::attack {
 
@@ -56,7 +56,7 @@ TimeDrivenResult time_driven_attack(TimingOracle& oracle,
     // Subtract the exactly-known round-1 miss cost (variance reduction).
     t -= config.round1_miss_cycles * distinct;
 
-    const auto n = pre_key_nibbles(pt, {}, 0);
+    const auto n = target::Gift64Recovery::pre_key_nibbles(pt, {}, 0);
     for (unsigned s = 0; s < 16; ++s) {
       for (unsigned c = 0; c < 4; ++c) {
         const unsigned predicted = (n[s] ^ c) & 0xF;

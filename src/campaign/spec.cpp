@@ -18,8 +18,6 @@ namespace {
 
 constexpr std::array<std::string_view, 3> kCiphers = {"gift64", "gift128",
                                                       "present80"};
-constexpr std::array<std::string_view, 3> kProfiles = {"clean", "moderate",
-                                                       "saturating"};
 
 bool is_one_of(std::string_view v, std::span<const std::string_view> allowed) {
   for (const std::string_view a : allowed) {
@@ -96,7 +94,7 @@ bool CampaignSpec::validate(std::string* error) const {
     return set_error(error, "unknown cipher '" + cipher +
                                 "' (expected gift64, gift128 or present80)");
   }
-  if (!is_one_of(fault_profile, kProfiles)) {
+  if (!target::FaultProfile::named(fault_profile)) {
     return set_error(error,
                      "unknown fault_profile '" + fault_profile +
                          "' (expected clean, moderate or saturating)");
@@ -200,7 +198,8 @@ std::optional<CampaignSpec> CampaignSpec::parse(std::string_view text,
 }
 
 target::FaultProfile CampaignSpec::faults() const {
-  target::FaultProfile profile = target::FaultProfile::named(fault_profile);
+  target::FaultProfile profile = target::FaultProfile::named(fault_profile)
+                                     .value_or(target::FaultProfile::clean());
   profile.seed = fault_seed;
   return profile;
 }

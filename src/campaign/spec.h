@@ -81,7 +81,8 @@ struct CampaignSpec {
       std::string_view text, std::string* error = nullptr);
 
   /// The named fault profile with this spec's base fault seed (per-trial
-  /// lane seeds come from the ShardPlan stream, not from here).
+  /// lane seeds come from the ShardPlan stream, not from here); clean for
+  /// a name validate() refuses.
   [[nodiscard]] target::FaultProfile faults() const;
 
   /// vote_threshold, resolving 0 to the documented default for the

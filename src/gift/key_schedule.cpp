@@ -46,33 +46,4 @@ KeySchedule::KeySchedule(const Key128& key, unsigned rounds) {
   }
 }
 
-KeyBitOrigins::KeyBitOrigins(unsigned rounds) {
-  origins_.reserve(rounds);
-  std::array<std::uint8_t, 128> idx{};
-  for (unsigned i = 0; i < 128; ++i) idx[i] = static_cast<std::uint8_t>(i);
-
-  auto rotate_word_right = [](std::array<std::uint8_t, 128>& a, unsigned word,
-                              unsigned r) {
-    // Right-rotating a 16-bit word by r means new bit j = old bit (j+r)%16.
-    std::array<std::uint8_t, 16> tmp{};
-    for (unsigned j = 0; j < 16; ++j) tmp[j] = a[16 * word + (j + r) % 16];
-    for (unsigned j = 0; j < 16; ++j) a[16 * word + j] = tmp[j];
-  };
-
-  for (unsigned r = 0; r < rounds; ++r) {
-    origins_.push_back(idx);
-    std::array<std::uint8_t, 128> next{};
-    for (unsigned w = 0; w < 6; ++w)
-      for (unsigned j = 0; j < 16; ++j)
-        next[16 * w + j] = idx[16 * (w + 2) + j];
-    for (unsigned j = 0; j < 16; ++j) {
-      next[16 * 6 + j] = idx[16 * 0 + j];
-      next[16 * 7 + j] = idx[16 * 1 + j];
-    }
-    rotate_word_right(next, 6, 12);
-    rotate_word_right(next, 7, 2);
-    idx = next;
-  }
-}
-
 }  // namespace grinch::gift

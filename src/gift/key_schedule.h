@@ -10,11 +10,11 @@
 // Fig. 1 of the GRINCH paper.  GIFT-64 extracts the round key U||V from
 // (k1, k0); GIFT-128 from (k5||k4, k1||k0).
 //
-// Beyond the plain schedule, the attack library needs to know *which
-// master-key bit* each round-key bit is (GRINCH recovers two round-key
-// bits per attacked segment and must write them into the right master-key
-// positions).  KeyBitOrigins runs the schedule symbolically to provide
-// that mapping.
+// Beyond the plain schedule, the attack needs to know *which master-key
+// bit* each round-key bit is (GRINCH recovers two round-key bits per
+// attacked segment and must write them into the right master-key
+// positions).  key_bit_origins runs the schedule symbolically at compile
+// time to provide that mapping.
 #pragma once
 
 #include <array>
@@ -73,43 +73,30 @@ class KeySchedule {
   std::vector<Key128> states_;
 };
 
-/// Symbolic schedule: for every round, the master-key bit index that each
-/// key-state bit position holds.
-class KeyBitOrigins {
- public:
-  explicit KeyBitOrigins(unsigned rounds);
-
-  [[nodiscard]] unsigned rounds() const noexcept {
-    return static_cast<unsigned>(origins_.size());
+/// Symbolic schedule: entry [r][pos] is the master-key bit that key-state
+/// bit `pos` holds at the start of (0-based) round r.  The schedule only
+/// moves bits, so each round's entry is a permutation of 0..127.  GIFT-64
+/// round key r reads V_i from state bit i and U_i from bit 16 + i;
+/// GIFT-128 reads V_i from bit i and U_i from bit 64 + i.
+template <unsigned Rounds>
+[[nodiscard]] constexpr std::array<std::array<std::uint8_t, 128>, Rounds>
+key_bit_origins() noexcept {
+  std::array<std::array<std::uint8_t, 128>, Rounds> origins{};
+  std::array<std::uint8_t, 128> idx{};
+  for (unsigned i = 0; i < 128; ++i) idx[i] = static_cast<std::uint8_t>(i);
+  for (unsigned r = 0; r < Rounds; ++r) {
+    origins[r] = idx;
+    // (k7..k0) <- (k1 >>> 2, k0 >>> 12, k7..k2); bit j of a word rotated
+    // right by n is bit (j + n) % 16 of the old word.
+    std::array<std::uint8_t, 128> next{};
+    for (unsigned j = 0; j < 96; ++j) next[j] = idx[j + 32];
+    for (unsigned j = 0; j < 16; ++j) {
+      next[96 + j] = idx[(j + 12) % 16];
+      next[112 + j] = idx[16 + (j + 2) % 16];
+    }
+    idx = next;
   }
-
-  /// Master-key bit held at key-state bit `pos` at round `r`.
-  [[nodiscard]] unsigned state_bit_origin(unsigned r, unsigned pos) const {
-    return origins_.at(r)[pos];
-  }
-
-  /// Master-key bit feeding GIFT-64 round-key bit U_i of round `r`.
-  [[nodiscard]] unsigned u64_origin(unsigned r, unsigned i) const {
-    return state_bit_origin(r, 16 + i);
-  }
-
-  /// Master-key bit feeding GIFT-64 round-key bit V_i of round `r`.
-  [[nodiscard]] unsigned v64_origin(unsigned r, unsigned i) const {
-    return state_bit_origin(r, i);
-  }
-
-  /// Master-key bit feeding GIFT-128 round-key bit U_i of round `r`.
-  [[nodiscard]] unsigned u128_origin(unsigned r, unsigned i) const {
-    return state_bit_origin(r, 64 + i);
-  }
-
-  /// Master-key bit feeding GIFT-128 round-key bit V_i of round `r`.
-  [[nodiscard]] unsigned v128_origin(unsigned r, unsigned i) const {
-    return state_bit_origin(r, i);
-  }
-
- private:
-  std::vector<std::array<std::uint8_t, 128>> origins_;
-};
+  return origins;
+}
 
 }  // namespace grinch::gift

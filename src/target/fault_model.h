@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "cachesim/config.h"
@@ -98,13 +99,14 @@ struct FaultProfile {
     return p;
   }
 
-  /// Named-profile lookup for CLI/bench front-ends ("clean", "moderate",
-  /// "saturating").  Returns clean() for unknown names.
-  [[nodiscard]] static constexpr FaultProfile named(
+  /// Named-profile lookup for CLI/bench front-ends and campaign specs:
+  /// "clean", "moderate" or "saturating"; nullopt for any other name.
+  [[nodiscard]] static constexpr std::optional<FaultProfile> named(
       std::string_view name) noexcept {
+    if (name == "clean") return clean();
     if (name == "moderate") return moderate();
     if (name == "saturating") return saturating();
-    return clean();
+    return std::nullopt;
   }
 };
 

@@ -5,9 +5,6 @@
 // cross-cipher conformance suite (tests/target/conformance_test.cpp)
 // iterates it, as do examples; porting a new table cipher means writing
 // its traits/recovery header (see docs/TARGETS.md) and adding it here.
-//
-// Header-only: Gift64Recovery borrows Algorithm 1/2 from src/attack/, so
-// translation units including this header must link grinch_attack.
 #pragma once
 
 #include <tuple>

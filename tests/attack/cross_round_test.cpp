@@ -4,11 +4,12 @@
 
 #include <set>
 
-#include "attack/predictor.h"
 #include "common/bits.h"
 #include "common/rng.h"
+#include "gift/constants.h"
 #include "gift/gift64.h"
 #include "gift/permutation.h"
+#include "target/gift64_recovery.h"
 
 namespace grinch::attack {
 namespace {
@@ -46,7 +47,7 @@ TEST(Solver, PredictedNibbleMatchesRealCipher) {
     const gift::KeySchedule sched{key, 3};
 
     CrossRoundObservation obs;
-    obs.pre_key_nibbles = pre_key_nibbles(pt, {}, 0);
+    obs.pre_key_nibbles = target::Gift64Recovery::pre_key_nibbles(pt, {}, 0);
     obs.next_round_index = 1;
 
     const gift::RoundKey64 rk0 = sched.round_key64(0);
@@ -81,7 +82,7 @@ TEST(Solver, TruthAlwaysSurvivesCleanObservations) {
   for (int i = 0; i < 40; ++i) {
     const std::uint64_t pt = rng.block64();
     CrossRoundObservation obs;
-    obs.pre_key_nibbles = pre_key_nibbles(pt, {}, 0);
+    obs.pre_key_nibbles = target::Gift64Recovery::pre_key_nibbles(pt, {}, 0);
     obs.next_round_index = 1;
     // Full-resolution presence of rounds 1 and 2 accesses.
     const auto states = gift::Gift64::round_states(pt, key);
@@ -115,7 +116,7 @@ TEST(Solver, ConvergesToTruthWithFullResolutionObservations) {
   for (int i = 0; i < 400 && !(all_resolved(a) && all_resolved(b)); ++i) {
     const std::uint64_t pt = rng.block64();
     CrossRoundObservation obs;
-    obs.pre_key_nibbles = pre_key_nibbles(pt, {}, 0);
+    obs.pre_key_nibbles = target::Gift64Recovery::pre_key_nibbles(pt, {}, 0);
     obs.next_round_index = 1;
     const auto states = gift::Gift64::round_states(pt, key);
     obs.present.assign(16, false);
@@ -158,6 +159,29 @@ TEST(Solver, NothingPresentIsTreatedAsNoise) {
   for (unsigned s = 0; s < 16; ++s) {
     EXPECT_EQ(a[s].size(), 4u);
     EXPECT_EQ(b[s].size(), 4u);
+  }
+}
+
+// The solver folds next-round constants in with
+// constant_nibble_contribution; these pin it to GIFT-64's AddConstant.
+TEST(Predictor, ConstantContributionOnlyTouchesBitThree) {
+  for (unsigned round = 0; round < 28; ++round) {
+    for (unsigned seg = 0; seg < 16; ++seg) {
+      const unsigned c = constant_nibble_contribution(round, seg);
+      EXPECT_EQ(c & 0x7, 0u) << "round " << round << " seg " << seg;
+    }
+  }
+}
+
+TEST(Predictor, ConstantContributionMatchesAddConstant64) {
+  for (unsigned round = 0; round < 28; ++round) {
+    const std::uint64_t delta =
+        gift::add_constant64(0, gift::round_constant(round));
+    for (unsigned seg = 0; seg < 16; ++seg) {
+      EXPECT_EQ(constant_nibble_contribution(round, seg),
+                nibble(delta, seg))
+          << "round " << round << " seg " << seg;
+    }
   }
 }
 

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "attack/key_recovery.h"
 #include "common/rng.h"
 #include "gift/gift64.h"
+#include "target/gift64_recovery.h"
 
 namespace grinch::cm {
 namespace {
@@ -73,7 +73,8 @@ TEST(Hardened, EffectiveSubKeysDoNotAssembleToMasterKey) {
   Xoshiro256 rng{6};
   const Key128 key = rng.key128();
   const auto effective = hardened_round_keys(key, 4);
-  const Key128 assembled = attack::assemble_master_key(effective);
+  const Key128 assembled =
+      target::Gift64Recovery::assemble_master_key(effective);
   EXPECT_NE(assembled, key);
   // And that wrong key does not reproduce the hardened ciphertext either.
   const std::uint64_t pt = rng.block64();

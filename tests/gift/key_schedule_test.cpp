@@ -68,19 +68,16 @@ TEST(KeySchedule, ScheduleStatesChainViaUpdate) {
 }
 
 TEST(KeyBitOrigins, Round0IsIdentity) {
-  const KeyBitOrigins origins{4};
+  constexpr auto origins = key_bit_origins<4>();
   for (unsigned pos = 0; pos < 128; ++pos) {
-    EXPECT_EQ(origins.state_bit_origin(0, pos), pos);
+    EXPECT_EQ(origins[0][pos], pos);
   }
 }
 
 TEST(KeyBitOrigins, EachRoundIsAPermutation) {
-  const KeyBitOrigins origins{28};
+  constexpr auto origins = key_bit_origins<28>();
   for (unsigned r = 0; r < 28; ++r) {
-    std::set<unsigned> seen;
-    for (unsigned pos = 0; pos < 128; ++pos) {
-      seen.insert(origins.state_bit_origin(r, pos));
-    }
+    const std::set<unsigned> seen(origins[r].begin(), origins[r].end());
     EXPECT_EQ(seen.size(), 128u) << "round " << r;
   }
 }
@@ -88,13 +85,13 @@ TEST(KeyBitOrigins, EachRoundIsAPermutation) {
 TEST(KeyBitOrigins, MatchesConcreteSchedule) {
   // Setting exactly master bit b must make the scheduled state at round r
   // have a 1 exactly where origins says bit b lives.
-  const KeyBitOrigins origins{8};
+  constexpr auto origins = key_bit_origins<8>();
   for (unsigned b = 0; b < 128; b += 7) {
     const Key128 key = Key128{}.with_bit(b, 1);
     const KeySchedule sched{key, 8};
     for (unsigned r = 0; r < 8; ++r) {
       for (unsigned pos = 0; pos < 128; ++pos) {
-        const unsigned expected = (origins.state_bit_origin(r, pos) == b);
+        const unsigned expected = (origins[r][pos] == b);
         EXPECT_EQ(sched.state(r).bit(pos), expected)
             << "bit " << b << " round " << r << " pos " << pos;
       }
@@ -103,36 +100,40 @@ TEST(KeyBitOrigins, MatchesConcreteSchedule) {
 }
 
 TEST(KeyBitOrigins, FirstFourRoundsCoverAllKeyBits64) {
-  // GIFT-64 uses 32 fresh key bits per round; rounds 0..3 together must
-  // cover all 128 master-key bits (the premise of GRINCH's four-stage
-  // full-key recovery).
-  const KeyBitOrigins origins{4};
+  // GIFT-64 uses 32 fresh key bits per round (V from state bits 0..15, U
+  // from 16..31); rounds 0..3 together must cover all 128 master-key bits
+  // (the premise of GRINCH's four-stage full-key recovery).
+  constexpr auto origins = key_bit_origins<4>();
   std::set<unsigned> used;
   for (unsigned r = 0; r < 4; ++r) {
     for (unsigned i = 0; i < 16; ++i) {
-      used.insert(origins.u64_origin(r, i));
-      used.insert(origins.v64_origin(r, i));
+      used.insert(origins[r][16 + i]);
+      used.insert(origins[r][i]);
     }
   }
   EXPECT_EQ(used.size(), 128u);
 }
 
 TEST(KeyBitOrigins, Round0RoundKeyIsIdentityMapping) {
-  const KeyBitOrigins origins{1};
+  // Round key 0's V_i is master bit i and its U_i master bit 16 + i.
+  constexpr auto origins = key_bit_origins<1>();
   for (unsigned i = 0; i < 16; ++i) {
-    EXPECT_EQ(origins.v64_origin(0, i), i);
-    EXPECT_EQ(origins.u64_origin(0, i), 16 + i);
+    EXPECT_EQ(origins[0][i], i);
+    EXPECT_EQ(origins[0][16 + i], 16 + i);
+    EXPECT_EQ(extract_round_key64(Key128{}.with_bit(i, 1)).v, 1u << i);
+    EXPECT_EQ(extract_round_key64(Key128{}.with_bit(16 + i, 1)).u, 1u << i);
   }
 }
 
 TEST(KeyBitOrigins, Gift128FirstTwoRoundsCoverAllKeyBits) {
-  // GIFT-128 uses 64 key bits per round; rounds 0..1 must cover all 128.
-  const KeyBitOrigins origins{2};
+  // GIFT-128 uses 64 key bits per round (V from state bits 0..31, U from
+  // 64..95); rounds 0..1 must cover all 128.
+  constexpr auto origins = key_bit_origins<2>();
   std::set<unsigned> used;
   for (unsigned r = 0; r < 2; ++r) {
     for (unsigned i = 0; i < 32; ++i) {
-      used.insert(origins.u128_origin(r, i));
-      used.insert(origins.v128_origin(r, i));
+      used.insert(origins[r][64 + i]);
+      used.insert(origins[r][i]);
     }
   }
   EXPECT_EQ(used.size(), 128u);

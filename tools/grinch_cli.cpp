@@ -38,6 +38,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -313,7 +314,17 @@ int cmd_attack(const Args& args) {
 // elimination threshold (defaults to the noisy preset when faults are on).
 template <typename Config>
 void apply_fault_args(const Args& args, Config& cfg) {
-  cfg.faults = target::FaultProfile::named(args.get("fault-profile", "clean"));
+  const std::string name = args.get("fault-profile", "clean");
+  const std::optional<target::FaultProfile> profile =
+      target::FaultProfile::named(name);
+  if (!profile) {
+    std::fprintf(stderr,
+                 "bad --fault-profile (need clean, moderate or saturating, "
+                 "got '%s')\n",
+                 name.c_str());
+    std::exit(2);
+  }
+  cfg.faults = *profile;
   cfg.faults.seed = args.get_u64("fault-seed", cfg.faults.seed);
   const unsigned fallback =
       cfg.faults.any() ? Config::noisy_defaults().vote_threshold
