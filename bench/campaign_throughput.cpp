@@ -1,12 +1,14 @@
 // Campaign overhead (ours): orchestration must be effectively free.
 //
-// The campaign engine adds a work queue, JSONL serialization, a flusher
-// thread, running CRCs and periodic checkpoints on top of the same
-// WideRecoveryEngine shards the direct TrialRunner path dispatches.  This
-// bench runs the identical trial grid both ways — direct in-memory shard
-// loop vs. full campaign (results file + checkpoints) — and reports the
-// wall-clock ratio; tools/check_bench.py flags the committed baseline if
-// campaign mode costs more than 5% over direct dispatch.
+// The campaign engine pulls trials one at a time onto one
+// WideRecoveryEngine per worker and adds JSONL serialization, a flusher
+// thread, running CRCs and periodic checkpoints.  The direct path
+// dispatches the same grid's shards onto the pool, one engine per shard,
+// with in-memory results.  This bench runs the identical trial grid both
+// ways — direct in-memory shard loop vs. full campaign (results file +
+// checkpoints) — and reports the wall-clock ratio; tools/check_bench.py
+// flags the committed baseline if campaign mode costs more than 5% over
+// direct dispatch.
 //
 // Deterministic metrics (compared byte-for-byte against the baseline):
 // trial/shard counts, verified counts from both paths (which must agree

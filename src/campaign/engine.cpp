@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -29,14 +30,22 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-/// One shard's finished output, handed from a worker to the flusher.
-/// `done` is the publication point: the worker fills bytes/counters and
-/// then stores done with release; the flusher loads it with acquire.
-struct ShardSlot {
-  std::string bytes;
+/// One trial's output, written by the worker that ran it.
+struct TrialOutput {
+  std::string record;
   Counters counters;
-  std::uint64_t trials = 0;
-  std::atomic<bool> done{false};
+};
+
+/// One shard's output.  Its trials run on any worker in any order, and
+/// each writes only its own entry of `trials`.  The worker whose
+/// decrement of `unrecorded` reaches zero publishes the shard; the
+/// decrements form one release sequence, so the flusher, acquiring the
+/// publication, sees every entry.
+struct ShardSlot {
+  explicit ShardSlot(unsigned width) : trials(width), unrecorded(width) {}
+
+  std::vector<TrialOutput> trials;
+  std::atomic<unsigned> unrecorded;
 };
 
 Outcome error_outcome(std::string message) {
@@ -144,10 +153,13 @@ Outcome run_campaign_t(const CampaignSpec& spec, const Options& opts) {
   ecfg.finish_partials = spec.finish;
   ecfg.finish_max_candidates = spec.finish_budget;
 
+  // Shard i's output lives in slots[i] from the claim of its first trial
+  // until the flusher writes it, so memory follows the work in flight.
+  // published[i] is the publication point: the worker that records the
+  // shard's last trial stores it with release, the flusher loads it with
+  // acquire.
   std::vector<std::unique_ptr<ShardSlot>> slots(total);
-  for (std::size_t i = start_shard; i < total; ++i) {
-    slots[i] = std::make_unique<ShardSlot>();
-  }
+  std::vector<std::atomic<bool>> published(total);
 
   std::atomic<bool> local_stop{false};
   std::atomic<bool> producers_done{false};
@@ -198,21 +210,23 @@ Outcome run_campaign_t(const CampaignSpec& spec, const Options& opts) {
     for (;;) {
       const bool fin = producers_done.load(std::memory_order_acquire);
       while (!frozen && flusher_error.empty() && next_flush < total &&
-             slots[next_flush]->done.load(std::memory_order_acquire)) {
-        ShardSlot& slot = *slots[next_flush];
-        if (std::fwrite(slot.bytes.data(), 1, slot.bytes.size(),
-                        results.get()) != slot.bytes.size()) {
-          flusher_error = "short write to " + opts.results_path;
-          local_stop.store(true, std::memory_order_relaxed);
-          break;
+             published[next_flush].load(std::memory_order_acquire)) {
+        const ShardSlot& slot = *slots[next_flush];
+        for (const TrialOutput& trial : slot.trials) {
+          const std::string& bytes = trial.record;
+          if (std::fwrite(bytes.data(), 1, bytes.size(), results.get()) !=
+              bytes.size()) {
+            flusher_error = "short write to " + opts.results_path;
+            local_stop.store(true, std::memory_order_relaxed);
+            break;
+          }
+          crc_state = Crc32::update(crc_state, bytes.data(), bytes.size());
+          result_bytes += bytes.size();
+          counters += trial.counters;
         }
-        crc_state = Crc32::update(crc_state, slot.bytes.data(),
-                                  slot.bytes.size());
-        result_bytes += slot.bytes.size();
-        counters += slot.counters;
-        trials_flushed += slot.trials;
-        slot.bytes.clear();
-        slot.bytes.shrink_to_fit();
+        if (!flusher_error.empty()) break;
+        trials_flushed += slot.trials.size();
+        slots[next_flush].reset();
         ++next_flush;
         progress.update(next_flush, trials_flushed, counters);
         if (opts.checkpoint_path.empty() ? false
@@ -238,40 +252,54 @@ Outcome run_campaign_t(const CampaignSpec& spec, const Options& opts) {
       flush_cv.wait_for(lk, std::chrono::milliseconds(5), [&]() {
         return producers_done.load(std::memory_order_acquire) ||
                (next_flush < total &&
-                slots[next_flush]->done.load(std::memory_order_acquire));
+                published[next_flush].load(std::memory_order_acquire));
       });
     }
     if (!frozen && flusher_error.empty()) save_checkpoint();
   }};
 
+  // The claim cursor: the next unstarted trial, in trial order.  Every
+  // shard but the last holds `width` trials, and a shard's slot is
+  // allocated when its first trial is claimed.
+  const unsigned width = plan.shard(0).width;
+  std::mutex claim_mu;
+  std::size_t next_trial = plan.shard(start_shard).begin;
+  const auto claim = [&](std::size_t& trial) {
+    const std::lock_guard<std::mutex> lk{claim_mu};
+    if (next_trial == plan.trials()) return false;
+    trial = next_trial++;
+    if (trial % width == 0) {
+      slots[trial / width] =
+          std::make_unique<ShardSlot>(plan.shard(trial / width).width);
+    }
+    return true;
+  };
+
+  // One task per pool participant: each pulls trials onto its own engine
+  // until none is left, checking for a stop before every claim.
   runner::ThreadPool pool{opts.threads};
-  pool.parallel_for(total - start_shard, [&](std::size_t task) {
-    const std::size_t i = start_shard + task;
-    if (stop_requested()) return;  // drain: skip shards not yet started
-    const runner::WideShard& shard = plan.shard(i);
-    const std::span<const runner::TrialSeed> seeds = plan.seeds(shard);
-    const std::span<const std::uint64_t> fault_seeds =
-        plan.fault_seeds(shard);
-    std::vector<target::WideTrialSpec> trial_specs(shard.width);
-    for (unsigned j = 0; j < shard.width; ++j) {
-      trial_specs[j] = {Recovery::canonical_key(seeds[j].key), seeds[j].seed,
-                        fault_seeds[j]};
-    }
+  const std::size_t tasks = std::min<std::size_t>(
+      pool.thread_count(), plan.trials() - next_trial);
+  pool.parallel_for(tasks, [&](std::size_t) {
     target::WideRecoveryEngine<Recovery> engine{ecfg, pcfg};
-    const std::vector<target::RecoveryResult<Recovery>> shard_results =
-        engine.run(trial_specs);
-    ShardSlot& slot = *slots[i];
-    for (unsigned j = 0; j < shard.width; ++j) {
-      slot.bytes += trial_record<Recovery>(spec, shard.begin + j,
-                                           trial_specs[j].victim_key,
-                                           seeds[j].seed, fault_seeds[j],
-                                           shard_results[j]);
-      count_trial<Recovery>(slot.counters, trial_specs[j].victim_key,
-                            shard_results[j]);
+    std::size_t t = 0;
+    while (!stop_requested() && claim(t)) {
+      const runner::TrialSeed& seed = plan.seeds()[t];
+      const target::WideTrialSpec trial{Recovery::canonical_key(seed.key),
+                                        seed.seed, plan.fault_seeds()[t]};
+      const target::RecoveryResult<Recovery> result =
+          std::move(engine.run(std::span(&trial, 1)).front());
+      ShardSlot& slot = *slots[t / width];
+      TrialOutput& out = slot.trials[t % width];
+      out.record = trial_record<Recovery>(spec, t, trial.victim_key,
+                                          trial.seed, trial.fault_seed,
+                                          result);
+      count_trial<Recovery>(out.counters, trial.victim_key, result);
+      if (slot.unrecorded.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        published[t / width].store(true, std::memory_order_release);
+        flush_cv.notify_one();
+      }
     }
-    slot.trials = shard.width;
-    slot.done.store(true, std::memory_order_release);
-    flush_cv.notify_one();
   });
   producers_done.store(true, std::memory_order_release);
   flush_cv.notify_one();

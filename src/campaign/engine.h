@@ -2,12 +2,14 @@
 //
 // run_campaign() expands a CampaignSpec through the shared shard expander
 // (runner::ShardPlan — every trial's victim key, engine seed and fault
-// seed derived up front, position-based), dispatches the shards across
-// the runner::ThreadPool, and streams one JSONL record per trial to the
-// results file *in shard order* regardless of completion order.  A
-// dedicated flusher thread appends the longest contiguous prefix of
-// finished shards, maintains a running CRC-32 of the flushed bytes, and
-// drops an atomic checkpoint (campaign/checkpoint.h) every
+// seed derived up front, position-based).  Each pool participant keeps
+// one WideRecoveryEngine and pulls trials from a shared cursor that moves
+// in trial order, one trial at a time; the worker that records a shard's
+// last trial publishes the shard.  A dedicated flusher thread appends the
+// longest contiguous prefix of published shards to the results file, one
+// JSONL record per trial *in trial order* regardless of completion
+// order, maintains a running CRC-32 of the flushed bytes, and drops an
+// atomic checkpoint (campaign/checkpoint.h) every
 // `checkpoint_every_shards` flushed shards — so at any instant the
 // checkpoint + results file on disk form a consistent resumable state,
 // even under SIGKILL.
@@ -18,17 +20,20 @@
 // make that hold, each pinned by tests/campaign/:
 //  1. trial inputs are position-derived (ShardPlan), so re-running shard
 //     k always reproduces its trials' exact RNG material;
-//  2. lane results are width-independent (the WideRecoveryEngine
-//     conformance contract), so wide_width only shards differently —
-//     and wide_width is part of the spec identity anyway;
+//  2. a trial's result depends on its inputs only (the WideRecoveryEngine
+//     conformance contract: any engine, any earlier trials on it), so
+//     wide_width only sets the shard boundaries — and wide_width is part
+//     of the spec identity anyway;
 //  3. flushing is strictly in shard order with the prefix CRC recorded,
 //     so "resume from shard k" is exactly "truncate to the checkpointed
 //     prefix and continue".
 //
-// Stop protocol (drain semantics): Options::stop is polled per shard —
-// workers skip shards not yet started, finished shards flush, a final
-// checkpoint records the prefix, and the outcome reports `interrupted`.
-// campaign::SigintHandler raises the same flag from SIGINT/SIGTERM.
+// Stop protocol (drain semantics): Options::stop is polled before every
+// trial claim — workers finish the trial they run and claim no other, a
+// shard whose trials did not all finish is never published, published
+// shards flush, a final checkpoint records the prefix, and the outcome
+// reports `interrupted`.  campaign::SigintHandler raises the same flag
+// from SIGINT/SIGTERM.
 #pragma once
 
 #include <atomic>

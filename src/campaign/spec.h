@@ -1,7 +1,7 @@
 // CampaignSpec — the declarative unit of work of the campaign engine.
 //
 // A spec names a target cipher, a cache/platform configuration, a channel
-// fault profile, a wide width and a seed range; it expands
+// fault profile, a shard width and a seed range; it expands
 // *deterministically* into runner::ShardPlan shards (docs/CAMPAIGN.md).
 // Everything that can change a trial's bytes lives in the spec; run-side
 // knobs that cannot (thread count, checkpoint cadence, output paths) live
@@ -36,9 +36,10 @@ struct CampaignSpec {
   std::uint64_t trials = 64;
   std::uint64_t seed = 0xCA3D;
   std::uint64_t fault_seed = 0xFA171;
-  /// Lockstep lanes per shard (clamped to [1, 64]); 1 = scalar-equivalent
-  /// shards.  Results are byte-identical at ANY width — width only sets
-  /// the throughput/latency trade.
+  /// Trials per shard (clamped to [1, 64]): the unit the results file is
+  /// flushed and checkpointed in.  Workers pull trials one at a time
+  /// whatever the width, so it has no effect on speed, and results are
+  /// byte-identical at ANY width apart from this field in each record.
   unsigned wide_width = 8;
   /// Per-trial encryption budget (KeyRecoveryEngine::Config::
   /// max_encryptions).

@@ -61,14 +61,15 @@ class TrialRunner {
   ThreadPool* pool_;
 };
 
-/// One contiguous slice of a trial list, sized for the wide recovery
-/// engine: trials [begin, begin + width) run as one lockstep group.
+/// One contiguous slice of a trial list: trials [begin, begin + width).
+/// The campaign engine flushes and checkpoints whole shards; which worker
+/// runs which trial does not depend on them.
 struct WideShard {
   std::size_t begin = 0;
   unsigned width = 0;
 };
 
-/// Cuts `trials` into contiguous shards of at most `width` lanes (the
+/// Cuts `trials` into contiguous shards of at most `width` trials (the
 /// last shard may be narrower; width is clamped to [1, 64]).  Shards are
 /// independent — dispatch each to a WideRecoveryEngine::run() call,
 /// serially or across a pool — and cover the trial list exactly, in
@@ -78,7 +79,7 @@ struct WideShard {
 
 /// A deterministically expanded trial grid: every trial's RNG material
 /// (victim key, engine seed, fault-stream seed) pre-derived in trial
-/// order, cut into contiguous wide shards.  This is the one shard
+/// order, cut into contiguous shards.  This is the one shard
 /// expander shared by the campaign engine (src/campaign/), the extension/
 /// robustness benches and the CLI front-ends — because the derivation is
 /// position-based (trial t always draws the same material for a given
@@ -89,7 +90,7 @@ class ShardPlan {
  public:
   /// Derives `trials` (key, seed) pairs from `seed` (exactly
   /// derive_trial_seeds) plus an independent per-trial fault-seed stream
-  /// from `fault_seed` (exactly derive_seeds), sharded at `width` lanes
+  /// from `fault_seed` (exactly derive_seeds), sharded at `width` trials
   /// (clamped to [1, 64]).
   ShardPlan(std::uint64_t seed, std::uint64_t fault_seed, std::size_t trials,
             unsigned width)
@@ -100,9 +101,6 @@ class ShardPlan {
   [[nodiscard]] std::size_t trials() const noexcept { return seeds_.size(); }
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
-  }
-  [[nodiscard]] const std::vector<WideShard>& shards() const noexcept {
-    return shards_;
   }
   [[nodiscard]] const WideShard& shard(std::size_t i) const {
     return shards_.at(i);

@@ -5,9 +5,9 @@
 // per fault mode, sub-seeded from FaultProfile::seed via SplitMix64), the
 // burst countdown, the stale-replay memory and the fault counters.  It is
 // extracted from the decorator so the multi-trial wide recovery engine
-// (target/wide_engine.h) can run one independent channel per lane — same
-// draw schedule, same precedence, same statistics — without carrying a
-// full ObservationSource decorator per lane.
+// (target/wide_engine.h) can run one independent channel per trial —
+// same draw schedule, same precedence, same statistics — without
+// carrying a full ObservationSource decorator per trial.
 //
 // Determinism contract (unchanged from the decorator): each enabled mode
 // draws exactly once per delivered observation (line-level modes once per

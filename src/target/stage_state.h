@@ -32,7 +32,7 @@
 
 namespace grinch::target {
 
-/// Outcome of one KeyRecoveryEngine run (or one WideRecoveryEngine lane).
+/// Outcome of one KeyRecoveryEngine run (or one WideRecoveryEngine trial).
 template <typename Recovery>
 struct RecoveryResult {
   bool success = false;

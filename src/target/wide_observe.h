@@ -23,9 +23,9 @@
 //    observe_window(), the pipeline behind observe().  Lane state
 //    persists across run() calls — like the scalar platform's cache
 //    persists across a trial's observations — keyed by Job::lane on every
-//    configuration, so callers running multi-trial fleets
-//    (target/wide_engine.h) give each trial a stable lane slot and
-//    reset_lane_state() it when the trial starts.
+//    configuration, so callers give each trial a stable lane slot and
+//    reset_lane_state() it when the trial starts (the recovery engine,
+//    target/wide_engine.h, runs every trial on slot 0).
 //
 // Exactness.  Every verdict, probed_after_round and attacker_cycles value
 // is bit-identical to the scalar DirectProbePlatform::observe() pipeline
@@ -62,9 +62,9 @@
 // sweep where the shortcut trips or never engages
 // (tests/target/wide_conformance_test.cpp).
 //
-// Jobs carry their own schedule/window/lane, so one core serves jobs of
-// one victim key and stage as well as the multi-trial wide recovery
-// engine (per-lane keys and stages — target/wide_engine.h).
+// Jobs carry their own schedule/window/lane, so one core serves a batch
+// of jobs of one victim key and stage as well as the recovery engine's
+// one-job runs for trial after trial (target/wide_engine.h).
 #pragma once
 
 #include <algorithm>
@@ -138,8 +138,8 @@ class WideObserveCore {
   /// otherwise (the flush then precedes round 0, so every emitted round
   /// counts).  `lane` is the backing scalar lane that serves the job when
   /// the shortcut cannot: it keys that lane's persistent cache state, so
-  /// multi-trial callers must give each trial a stable slot for its
-  /// lifetime.  Jobs that share a lane run against it in job order.
+  /// callers must give each trial a stable slot for its lifetime.  Jobs
+  /// that share a lane run against it in job order.
   struct Job {
     const Schedule* schedule = nullptr;
     Block plaintext{};

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <regex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/checkpoint.h"
@@ -47,6 +48,18 @@ class CampaignEngineTest : public ::testing::Test {
     spec.trials = 10;
     spec.wide_width = 3;
     spec.budget = 20000;
+    return spec;
+  }
+
+  /// Shards wider than the pool: run on kWideThreads threads, 17 trials
+  /// at width 5 keep one shard's trials on several workers at once and
+  /// leave trials of later shards in flight whenever a stop lands.
+  static constexpr unsigned kWideThreads = 3;
+  static CampaignSpec wide_spec(const char* cipher) {
+    CampaignSpec spec = quick_spec();
+    spec.cipher = cipher;
+    spec.trials = 17;
+    spec.wide_width = 5;
     return spec;
   }
 
@@ -119,10 +132,24 @@ TEST_F(CampaignEngineTest, CompletesWithOneSelfDescribingRecordPerTrial) {
 }
 
 TEST_F(CampaignEngineTest, ByteIdenticalAcrossThreadCounts) {
-  const CampaignSpec spec = quick_spec();
-  EXPECT_TRUE(run_campaign(spec, options("t1", 1)).completed);
-  EXPECT_TRUE(run_campaign(spec, options("t4", 4)).completed);
-  EXPECT_EQ(slurp(path("t1.jsonl")), slurp(path("t4.jsonl")));
+  std::vector<CampaignSpec> specs{quick_spec()};
+  for (const char* cipher : {"gift64", "gift128", "present80"}) {
+    specs.push_back(wide_spec(cipher));
+  }
+  for (const CampaignSpec& spec : specs) {
+    const std::string tag =
+        spec.cipher + "_w" + std::to_string(spec.wide_width);
+    std::vector<std::string> files;
+    for (const unsigned threads : {1u, kWideThreads, 4u}) {
+      const std::string run_tag = tag + "_t" + std::to_string(threads);
+      EXPECT_TRUE(run_campaign(spec, options(run_tag, threads)).completed)
+          << run_tag;
+      files.push_back(slurp(path(run_tag + ".jsonl")));
+    }
+    EXPECT_FALSE(files[0].empty()) << tag;
+    EXPECT_EQ(files[0], files[1]) << tag;
+    EXPECT_EQ(files[0], files[2]) << tag;
+  }
 }
 
 TEST_F(CampaignEngineTest, WidthChangesOnlyTheWideWidthField) {
@@ -148,14 +175,20 @@ TEST_F(CampaignEngineTest, KillAtEveryShardBoundaryResumesByteIdentical) {
   // after exactly k flushed shards for every k, then resume — the final
   // results file must equal the uninterrupted baseline byte for byte.
   // A faulted profile keeps the noisy machinery (per-trial fault seeds,
-  // partial results) inside the contract too.
-  std::vector<CampaignSpec> specs;
+  // partial results) inside the contract too, and shards wider than the
+  // pool stop with trials of later shards in flight.
+  struct Case {
+    CampaignSpec spec;
+    unsigned threads = 2;
+  };
+  std::vector<Case> cases;
   for (const char* cipher : {"gift64", "gift128", "present80"}) {
     CampaignSpec spec = quick_spec();
     spec.cipher = cipher;
     spec.trials = 6;
     spec.wide_width = 2;
-    specs.push_back(spec);
+    cases.push_back({spec});
+    cases.push_back({wide_spec(cipher), kWideThreads});
   }
   {
     CampaignSpec noisy = quick_spec();
@@ -163,10 +196,11 @@ TEST_F(CampaignEngineTest, KillAtEveryShardBoundaryResumesByteIdentical) {
     noisy.trials = 6;
     noisy.wide_width = 2;
     noisy.budget = 3000;  // forces partial results into the stream
-    specs.push_back(noisy);
+    cases.push_back({noisy});
   }
-  for (const CampaignSpec& spec : specs) {
-    const std::string tag = spec.cipher + "_" + spec.fault_profile;
+  for (const auto& [spec, threads] : cases) {
+    const std::string tag = spec.cipher + "_" + spec.fault_profile + "_w" +
+                            std::to_string(spec.wide_width);
     const std::string base = baseline(spec, tag + "_base");
     const std::size_t shard_total =
         (spec.trials + spec.wide_width - 1) / spec.wide_width;
@@ -174,7 +208,7 @@ TEST_F(CampaignEngineTest, KillAtEveryShardBoundaryResumesByteIdentical) {
     for (std::size_t k = 1; k < shard_total; ++k) {
       const std::string run_tag =
           tag + "_k" + std::to_string(k);
-      Options opts = options(run_tag);
+      Options opts = options(run_tag, threads);
       opts.stop_after_flushed_shards = k;
       const Outcome stopped = run_campaign(spec, opts);
       ASSERT_TRUE(stopped.ok()) << stopped.error;
@@ -185,7 +219,7 @@ TEST_F(CampaignEngineTest, KillAtEveryShardBoundaryResumesByteIdentical) {
       ASSERT_LT(prefix.size(), base.size()) << run_tag;
       EXPECT_EQ(prefix, base.substr(0, prefix.size())) << run_tag;
 
-      Options resume = options(run_tag);
+      Options resume = options(run_tag, threads);
       resume.resume = true;
       const Outcome finished = run_campaign(spec, resume);
       ASSERT_TRUE(finished.ok()) << finished.error;
@@ -232,6 +266,50 @@ TEST_F(CampaignEngineTest, StopFlagDrainsToResumableCheckpoint) {
   const Outcome finished = run_campaign(spec, resume);
   ASSERT_TRUE(finished.completed);
   EXPECT_EQ(slurp(path("s.jsonl")), baseline(spec, "base"));
+}
+
+TEST_F(CampaignEngineTest, StopFromAnotherThreadMidRunResumesByteIdentical) {
+  // A stop raised from another thread while workers are mid-trial, as a
+  // signal handler raises it: another thread raises the flag as soon as
+  // the first shard reaches the disk.  Whatever was flushed is a prefix
+  // of the uninterrupted run, and resume completes it byte for byte.
+  // The moderate channel at a 3000-encryption budget makes every trial
+  // long enough for the stop to land with trials in flight.
+  for (const char* cipher : {"gift64", "gift128", "present80"}) {
+    CampaignSpec spec = wide_spec(cipher);
+    spec.fault_profile = "moderate";
+    spec.budget = 3000;
+    const std::string tag = std::string{cipher} + "_stop";
+    const std::string base = baseline(spec, tag + "_base");
+
+    std::atomic<bool> stop{false};
+    std::atomic<bool> finished{false};
+    Options opts = options(tag, kWideThreads);
+    opts.stop = &stop;
+    std::thread stopper{[&]() {
+      std::error_code ec;
+      while (!finished.load()) {
+        if (fs::file_size(opts.results_path, ec) > 0 && !ec) break;
+        std::this_thread::yield();
+      }
+      stop.store(true);
+    }};
+    const Outcome stopped = run_campaign(spec, opts);
+    finished.store(true);
+    stopper.join();
+    ASSERT_TRUE(stopped.ok()) << stopped.error;
+    EXPECT_TRUE(stopped.interrupted || stopped.completed) << tag;
+    const std::string prefix = slurp(opts.results_path);
+    ASSERT_LE(prefix.size(), base.size()) << tag;
+    EXPECT_EQ(prefix, base.substr(0, prefix.size())) << tag;
+
+    Options resume = options(tag, kWideThreads);
+    resume.resume = true;
+    const Outcome done = run_campaign(spec, resume);
+    ASSERT_TRUE(done.ok()) << done.error;
+    EXPECT_TRUE(done.completed) << tag;
+    EXPECT_EQ(slurp(resume.results_path), base) << tag;
+  }
 }
 
 TEST_F(CampaignEngineTest, ResumeRejectsSpecMismatch) {

@@ -8,11 +8,11 @@
 // everywhere else (tripped capacity test, non-contiguous monitored lines,
 // FIFO/PLRU/Random, prefetchers), at every batch width and across a
 // sweep of line sizes, row strides, set counts, associativities, flush
-// modes and probing rounds.  The multi-trial engine layered on it must
-// be width-invariant: WideRecoveryEngine runs N independent trials in
-// lockstep and each lane equals the scalar recover_key() run with that
-// trial's seeds, for any shard width (runner::make_wide_shards) and any
-// thread count.
+// modes and probing rounds.  The multi-trial engine layered on it runs
+// independent trials one after another, and each trial must equal the
+// scalar recover_key() run with that trial's seeds, however the trial
+// list is cut into run() calls (runner::make_wide_shards), on a fresh
+// engine or one reused across trials, and at any thread count.
 #include "target/wide_engine.h"
 
 #include <gtest/gtest.h>
@@ -448,12 +448,12 @@ TYPED_TEST(WideConformance, PerLaneFallbackMatchesScalarObserveSequences) {
 }
 
 TYPED_TEST(WideConformance, WideEngineLanesMatchScalarTrials) {
-  // Each WideRecoveryEngine lane must equal the scalar recover_key run
-  // with that trial's seeds, at every shard width.  The 2-way LRU cache
-  // trips the presence shortcut on most observations, so those trials
-  // run on their scalar lanes: a lane's cache persists across its
-  // trial's trips and is reset when the slot's next trial starts (width
-  // 1 reuses slot 0 for every trial).
+  // Each WideRecoveryEngine trial must equal the scalar recover_key run
+  // with that trial's seeds, however the trials are cut into run()
+  // calls.  The 2-way LRU cache trips the presence shortcut on most
+  // observations, so those trials run on the scalar lane: its cache
+  // persists across the trial's trips and is reset when the next trial
+  // starts.
   using Recovery = TypeParam;
   constexpr std::size_t kTrials = 9;
   const auto specs = this->trial_specs(kTrials, 0x50);
@@ -500,7 +500,7 @@ TYPED_TEST(WideConformance, WideEngineLanesMatchScalarTrialsUnderFaults) {
   // prefetch caches, where lane history changes verdicts and nothing may
   // be skipped.  The saturating legs discard about two probes in three.
   // On the 2-way caches the moderate channel defeats vote 2 and every
-  // trial spends its budget, so those legs run a smaller one.  A lane
+  // trial spends its budget, so those legs run a smaller one.  A trial
   // replicates the scalar engine at max_batch 1, which recover_key runs
   // on the FIFO and prefetch caches whatever the config asks.
   using Recovery = TypeParam;
@@ -559,6 +559,55 @@ TYPED_TEST(WideConformance, WideEngineLanesMatchScalarTrialsUnderFaults) {
                                    " width " + std::to_string(width) +
                                    " trial " + std::to_string(t));
         }
+      }
+    }
+  }
+}
+
+TYPED_TEST(WideConformance, ReusedEngineMatchesFreshEngines) {
+  // A campaign worker keeps one engine and hands it trial after trial, so
+  // consecutive run() calls on one engine must equal a fresh engine per
+  // trial.  On the 2-way FIFO and Random caches every job runs on the
+  // scalar lane, whose cache would carry one trial's history into the
+  // next without the per-trial lane reset.  FIFO history rarely reaches
+  // a verdict across a trial boundary (the flush empties the monitored
+  // lines, and FIFO order only matters through leftover lines the next
+  // trial hits); the Random cache's replacement stream always carries
+  // over, so that case fails whenever the reset is missing.
+  using Recovery = TypeParam;
+  using Config = typename KeyRecoveryEngine<Recovery>::Config;
+  using PlatformConfig = typename DirectProbePlatform<Recovery>::Config;
+  constexpr std::size_t kTrials = 4;
+  const auto specs = this->trial_specs(kTrials, 0x54);
+  Config clean;
+  clean.max_encryptions = 20000;
+  Config saturating;
+  saturating.vote_threshold = 16;
+  saturating.max_encryptions = 4000;
+  saturating.faults = FaultProfile::saturating();
+  saturating.finish_partials = true;
+  saturating.finish_max_candidates = 256;
+  PlatformConfig fifo;
+  fifo.cache.associativity = 2;
+  fifo.cache.replacement = cachesim::Replacement::kFifo;
+  PlatformConfig random = fifo;
+  random.cache.replacement = cachesim::Replacement::kRandom;
+  for (const auto& [cache_name, platform] :
+       {std::pair{"default", PlatformConfig{}}, std::pair{"fifo", fifo},
+        std::pair{"random", random}}) {
+    for (const auto& [profile_name, config] :
+         {std::pair{"clean", clean}, std::pair{"saturating", saturating}}) {
+      WideRecoveryEngine<Recovery> reused{config, platform};
+      for (std::size_t t = 0; t < kTrials; ++t) {
+        const auto one = std::span<const WideTrialSpec>(specs).subspan(t, 1);
+        const auto got = reused.run(one);
+        WideRecoveryEngine<Recovery> fresh{config, platform};
+        const auto want = fresh.run(one);
+        ASSERT_EQ(got.size(), 1u);
+        ASSERT_EQ(want.size(), 1u);
+        expect_equal_results(got[0], want[0],
+                             std::string{profile_name} + " " + cache_name +
+                                 " trial " + std::to_string(t));
       }
     }
   }
