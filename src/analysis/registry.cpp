@@ -152,9 +152,9 @@ AnalysisTarget gift64_hardened_target() {
   // observation), and the equal measured bits make that visible.
   t.run = [](std::uint64_t pt_lo, std::uint64_t /*pt_hi*/, const Key128& key,
              unsigned rounds, gift::TraceSink* sink) {
-    const gift::TableGift64 cipher{gift::TableLayout{},
-                                   cm::hardened_provider()};
-    (void)cipher.encrypt_rounds(pt_lo, key, rounds, sink);
+    const gift::TableGift64 cipher;
+    (void)cipher.encrypt_with_schedule(
+        pt_lo, cm::hardened_round_keys(key, rounds), rounds, sink);
   };
   return t;
 }

@@ -77,7 +77,7 @@ EvaluationResult evaluate_protection(Protection protection,
   // The hardened victim encrypts with its whitened round keys.
   const gift::TableGift64::Schedule round_keys =
       hardened ? hardened_round_keys(victim_key, gift::Gift64::kRounds)
-               : gift::standard_round_keys(victim_key, gift::Gift64::kRounds);
+               : gift::TableGift64::make_schedule(victim_key);
   target::Gift64Platform table_platform{cfg, round_keys};
   ConstantTimePlatform ct_platform{victim_key};
   target::ObservationSource<std::uint64_t>& platform =

@@ -39,12 +39,6 @@ std::vector<gift::RoundKey64> hardened_round_keys(const Key128& key,
   return rks;
 }
 
-gift::TableGift64::RoundKeyProvider hardened_provider() {
-  return [](const Key128& key, unsigned rounds) {
-    return hardened_round_keys(key, rounds);
-  };
-}
-
 std::uint64_t HardenedGift64::encrypt(std::uint64_t plaintext,
                                       const Key128& key) {
   const auto rks = hardened_round_keys(key, gift::Gift64::kRounds);

@@ -22,7 +22,6 @@
 
 #include "common/key128.h"
 #include "gift/key_schedule.h"
-#include "gift/table_gift.h"
 
 namespace grinch::cm {
 
@@ -33,9 +32,6 @@ namespace grinch::cm {
 /// the whitening digest of the same round's unused half.
 [[nodiscard]] std::vector<gift::RoundKey64> hardened_round_keys(
     const Key128& key, unsigned rounds);
-
-/// RoundKeyProvider adaptor for TableGift64 / the platforms.
-[[nodiscard]] gift::TableGift64::RoundKeyProvider hardened_provider();
 
 /// GIFT-64 with the hardened schedule (functional reference).
 class HardenedGift64 {

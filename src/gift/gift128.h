@@ -16,11 +16,11 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/bits.h"
 #include "common/key128.h"
 #include "gift/constants.h"
+#include "gift/gift_rounds.h"
 #include "gift/key_schedule.h"
 #include "gift/sbox.h"
 
@@ -50,6 +50,12 @@ struct State128 {
     else
       hi ^= static_cast<std::uint64_t>(value & 1u) << (pos - 64);
   }
+
+  constexpr State128& operator|=(const State128& other) noexcept {
+    hi |= other.hi;
+    lo |= other.lo;
+    return *this;
+  }
 };
 
 namespace detail {
@@ -77,27 +83,21 @@ extern const ByteImages128 kGift128InvPermImages;
 
 }  // namespace detail
 
-class Gift128 {
+class Gift128 : public GiftRounds<Gift128, State128> {
  public:
+  using State = State128;
+  using RoundKey = RoundKey128;
   static constexpr unsigned kRounds = 40;
   static constexpr unsigned kSegments = 32;
 
-  [[nodiscard]] static State128 encrypt(State128 plaintext, const Key128& key);
-  [[nodiscard]] static State128 decrypt(State128 ciphertext,
-                                        const Key128& key);
-
-  /// Runs only the first `rounds` rounds (0 <= rounds <= kRounds).
-  [[nodiscard]] static State128 encrypt_rounds(State128 plaintext,
-                                               const Key128& key,
-                                               unsigned rounds);
-
-  /// result[r] = input of round r; result[kRounds] = ciphertext.
-  [[nodiscard]] static std::vector<State128> round_states(State128 plaintext,
-                                                          const Key128& key);
+  /// The round key of key state `k`: U, V = k5||k4, k1||k0.
+  [[nodiscard]] static RoundKey round_key(const Key128& k) noexcept {
+    return extract_round_key128(k);
+  }
 
   /// One full round; with a zero round key it yields the pre-key state.
-  [[nodiscard]] static State128 round_function(
-      State128 state, const RoundKey128& rk, unsigned round_index) noexcept {
+  [[nodiscard]] static State round_function(State state, const RoundKey& rk,
+                                            unsigned round_index) noexcept {
     return add_constant(
         add_round_key(
             detail::or_byte_images(detail::kGift128RoundImages, state), rk),
@@ -105,15 +105,15 @@ class Gift128 {
   }
 
   /// Inverse of round_function.
-  [[nodiscard]] static State128 inverse_round_function(
-      State128 state, const RoundKey128& rk, unsigned round_index) noexcept {
+  [[nodiscard]] static State inverse_round_function(
+      State state, const RoundKey& rk, unsigned round_index) noexcept {
     state = add_round_key(add_constant(state, round_index), rk);
     state = detail::or_byte_images(detail::kGift128InvPermImages, state);
     return {gift_inv_sub_cells64(state.hi), gift_inv_sub_cells64(state.lo)};
   }
 
-  [[nodiscard]] static State128 add_round_key(State128 state,
-                                              const RoundKey128& rk) noexcept {
+  [[nodiscard]] static State add_round_key(State state,
+                                           const RoundKey& rk) noexcept {
     const auto half = [](std::uint32_t word, unsigned shift) {
       return spread_to_nibbles(static_cast<std::uint16_t>(word >> shift));
     };
@@ -122,15 +122,17 @@ class Gift128 {
     return state;
   }
 
- private:
-  /// The round constant's bits below the MSB go to lo, the MSB to hi.
-  [[nodiscard]] static State128 add_constant(State128 state,
-                                             unsigned round_index) noexcept {
+  /// The constant addition of (0-based) round `round_index`: the round
+  /// constant's bits below the MSB go to lo, the MSB to hi.
+  [[nodiscard]] static State add_constant(State state,
+                                          unsigned round_index) noexcept {
     constexpr std::uint64_t kMsb = std::uint64_t{1} << 63;
     state.hi ^= kMsb;
     state.lo ^= round_constant_word(round_index) ^ kMsb;
     return state;
   }
 };
+
+extern template class GiftRounds<Gift128, State128>;
 
 }  // namespace grinch::gift

@@ -8,7 +8,10 @@
 //
 // The class also exposes per-round intermediate states and the bare round
 // function: the GRINCH attack predicts round-R S-Box indices under key
-// hypotheses, which requires replaying individual rounds.
+// hypotheses, which requires replaying individual rounds.  The state and
+// round-key types, round-key extraction, AddRoundKey and the round
+// constant are the width facts that the whole-block entry points
+// (gift_rounds.h) and the table victim (table_gift.h) run on.
 //
 // The rounds are header-inline over tables built at compile time.  The
 // S-Box stays within a nibble and PermBits only moves bits, so SubCells
@@ -26,11 +29,11 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/bits.h"
 #include "common/key128.h"
 #include "gift/constants.h"
+#include "gift/gift_rounds.h"
 #include "gift/key_schedule.h"
 #include "gift/sbox.h"
 
@@ -59,55 +62,51 @@ extern const ByteImages64 kGift64InvPermImages;
 
 }  // namespace detail
 
-class Gift64 {
+class Gift64 : public GiftRounds<Gift64, std::uint64_t> {
  public:
+  using State = std::uint64_t;
+  using RoundKey = RoundKey64;
   static constexpr unsigned kRounds = 28;
   static constexpr unsigned kSegments = 16;
 
-  /// Encrypts one 64-bit block under `key`.
-  [[nodiscard]] static std::uint64_t encrypt(std::uint64_t plaintext,
-                                             const Key128& key);
-
-  /// Decrypts one 64-bit block under `key`.
-  [[nodiscard]] static std::uint64_t decrypt(std::uint64_t ciphertext,
-                                             const Key128& key);
-
-  /// Runs only the first `rounds` rounds (0 <= rounds <= kRounds).
-  [[nodiscard]] static std::uint64_t encrypt_rounds(std::uint64_t plaintext,
-                                                    const Key128& key,
-                                                    unsigned rounds);
-
-  /// All intermediate states: result[r] is the input of (0-based) round r,
-  /// result[kRounds] is the ciphertext.  Size kRounds+1.
-  [[nodiscard]] static std::vector<std::uint64_t> round_states(
-      std::uint64_t plaintext, const Key128& key);
+  /// The round key of key state `k`: U, V = k1, k0.
+  [[nodiscard]] static RoundKey round_key(const Key128& k) noexcept {
+    return extract_round_key64(k);
+  }
 
   /// One full round: SubCells, PermBits, AddRoundKey with constant of
   /// (0-based) round `round_index`.  With a zero round key it yields the
   /// pre-key state the GRINCH predictor inverts.
-  [[nodiscard]] static std::uint64_t round_function(
-      std::uint64_t state, const RoundKey64& rk,
-      unsigned round_index) noexcept {
-    return add_round_key(
-               detail::or_byte_images(detail::kGift64RoundImages, state),
-               rk) ^
-           round_constant_word(round_index);
+  [[nodiscard]] static State round_function(State state, const RoundKey& rk,
+                                            unsigned round_index) noexcept {
+    return add_constant(
+        add_round_key(
+            detail::or_byte_images(detail::kGift64RoundImages, state), rk),
+        round_index);
   }
 
   /// Inverse of round_function.
-  [[nodiscard]] static std::uint64_t inverse_round_function(
-      std::uint64_t state, const RoundKey64& rk,
-      unsigned round_index) noexcept {
-    state = add_round_key(state ^ round_constant_word(round_index), rk);
+  [[nodiscard]] static State inverse_round_function(
+      State state, const RoundKey& rk, unsigned round_index) noexcept {
+    state = add_round_key(add_constant(state, round_index), rk);
     return gift_inv_sub_cells64(
         detail::or_byte_images(detail::kGift64InvPermImages, state));
   }
 
   /// AddRoundKey only (exposed for attack predictors and tests).
-  [[nodiscard]] static std::uint64_t add_round_key(
-      std::uint64_t state, const RoundKey64& rk) noexcept {
+  [[nodiscard]] static State add_round_key(State state,
+                                           const RoundKey& rk) noexcept {
     return state ^ spread_to_nibbles(rk.v) ^ (spread_to_nibbles(rk.u) << 1);
   }
+
+  /// The constant addition of (0-based) round `round_index`, MSB
+  /// included: one precomputed word.
+  [[nodiscard]] static State add_constant(State state,
+                                          unsigned round_index) noexcept {
+    return state ^ round_constant_word(round_index);
+  }
 };
+
+extern template class GiftRounds<Gift64, std::uint64_t>;
 
 }  // namespace grinch::gift

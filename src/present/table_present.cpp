@@ -1,7 +1,5 @@
 #include "present/table_present.h"
 
-#include <cassert>
-
 #include "present/present.h"
 #include "gift/permutation.h"
 #include "gift/sbox.h"
@@ -23,26 +21,6 @@ TablePresent80::TablePresent80(const target::TableLayout& layout)
     for (unsigned v = 0; v < 16; ++v)
       perm_table_[s][v] = gift::present_permutation().apply64(
           static_cast<std::uint64_t>(v) << (4 * s));
-}
-
-std::uint64_t TablePresent80::encrypt_rounds(std::uint64_t plaintext,
-                                             const Key128& key,
-                                             unsigned rounds,
-                                             gift::TraceSink* sink) const {
-  const RoundKeys rks = Present80::round_keys(key);
-  return encrypt_with_schedule(plaintext, rks, rounds, sink);
-}
-
-std::uint64_t TablePresent80::encrypt_with_schedule(
-    std::uint64_t plaintext, std::span<const std::uint64_t> rks,
-    unsigned rounds, gift::TraceSink* sink) const {
-  return encrypt_with_schedule<gift::TraceSink>(plaintext, rks, rounds, sink);
-}
-
-std::uint64_t TablePresent80::encrypt(std::uint64_t plaintext,
-                                      const Key128& key,
-                                      gift::TraceSink* sink) const {
-  return encrypt_rounds(plaintext, key, Present80::kRounds, sink);
 }
 
 }  // namespace grinch::present

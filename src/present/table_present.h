@@ -3,7 +3,9 @@
 // Extension target: demonstrates that the GRINCH observation pipeline
 // (instrumented LUT cipher -> cache simulation -> probe) generalises to
 // PRESENT, whose S-Box is likewise a 16-entry table.  Reuses the GIFT
-// trace-sink machinery so platforms and probers work unchanged.
+// trace-sink machinery and the table GIFT victims' entry set (each entry
+// point templated on the sink, NullSink by default), so platforms and
+// probers work unchanged.
 #pragma once
 
 #include <cassert>
@@ -30,14 +32,25 @@ class TablePresent80 {
     return layout_;
   }
 
+  /// Encrypts like Present80::encrypt, reporting each table access to
+  /// `sink` (NullSink: none).
+  template <typename Sink = gift::NullSink>
   [[nodiscard]] std::uint64_t encrypt(std::uint64_t plaintext,
                                       const Key128& key,
-                                      gift::TraceSink* sink = nullptr) const;
+                                      Sink* sink = nullptr) const {
+    return encrypt_rounds(plaintext, key, Present80::kRounds, sink);
+  }
 
+  /// Runs only the first `rounds` rounds (the whitening key once rounds
+  /// reaches Present80::kRounds).
+  template <typename Sink = gift::NullSink>
   [[nodiscard]] std::uint64_t encrypt_rounds(std::uint64_t plaintext,
                                              const Key128& key,
                                              unsigned rounds,
-                                             gift::TraceSink* sink) const;
+                                             Sink* sink = nullptr) const {
+    const RoundKeys rks = Present80::round_keys(key);
+    return encrypt_with_schedule(plaintext, rks, rounds, sink);
+  }
 
   /// All 32 PRESENT round keys (index r = key of round r; index 31 = the
   /// final whitening key).  The observation hot path expands them once
@@ -49,18 +62,10 @@ class TablePresent80 {
   /// the partial-round fast path — the emitted trace is the exact prefix
   /// of the full-round trace, and the returned state matches the full
   /// encryption once rounds >= Present80 rounds (whitening applied).
-  [[nodiscard]] std::uint64_t encrypt_with_schedule(
-      std::uint64_t plaintext, std::span<const std::uint64_t> schedule,
-      unsigned rounds, gift::TraceSink* sink = nullptr) const;
-
-  /// Fully static sink (any class with the TraceSink callback shape, no
-  /// inheritance required): round loop and callbacks inline into one
-  /// function — the wide path's zero-dispatch entry point.
-  /// TraceSink* callers keep resolving to the non-template overload.
-  template <typename Sink>
+  template <typename Sink = gift::NullSink>
   [[nodiscard]] std::uint64_t encrypt_with_schedule(
       std::uint64_t plaintext, std::span<const std::uint64_t> rks,
-      unsigned rounds, Sink* sink) const {
+      unsigned rounds, Sink* sink = nullptr) const {
     return encrypt_rounds_from(plaintext, rks, 0, rounds, sink);
   }
 
@@ -68,10 +73,10 @@ class TablePresent80 {
   /// state after its first `first` rounds.  The final whitening belongs
   /// to the call that runs the last round, so a split run applies it
   /// once.
-  template <typename Sink>
+  template <typename Sink = gift::NullSink>
   [[nodiscard]] std::uint64_t encrypt_rounds_from(
       std::uint64_t state, std::span<const std::uint64_t> rks, unsigned first,
-      unsigned rounds, Sink* sink) const {
+      unsigned rounds, Sink* sink = nullptr) const {
     assert(rks.size() > Present80::kRounds);
     for (unsigned r = first; r < rounds && r < Present80::kRounds; ++r) {
       if (sink) sink->on_round_begin(r);

@@ -21,7 +21,7 @@ std::vector<unsigned> HierarchyPlatform::index_line_ids() const {
 std::uint64_t HierarchyPlatform::last_ciphertext() const {
   if (!last_ct_valid_) {
     last_ct_ = cipher_.encrypt_with_schedule(last_pt_, schedule_,
-                                             gift::Gift64::kRounds, nullptr);
+                                             gift::Gift64::kRounds);
     last_ct_valid_ = true;
   }
   return last_ct_;

@@ -44,7 +44,7 @@ void VictimProcess::begin_encryption(std::uint64_t plaintext,
 std::uint64_t VictimProcess::full_ciphertext() const {
   if (!full_ct_valid_) {
     full_ct_ = cipher_->encrypt_with_schedule(plaintext_, schedule_,
-                                              gift::Gift64::kRounds, nullptr);
+                                              gift::Gift64::kRounds);
     full_ct_valid_ = true;
   }
   return full_ct_;

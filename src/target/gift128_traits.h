@@ -10,7 +10,7 @@
 #include "common/key128.h"
 #include "common/rng.h"
 #include "gift/gift128.h"
-#include "gift/table_gift128.h"
+#include "gift/table_gift.h"
 
 namespace grinch::target {
 

@@ -56,7 +56,6 @@ struct GiftWidth;
 template <>
 struct GiftWidth<gift::Gift64> {
   using Traits = Gift64Traits;
-  using RoundKey = gift::RoundKey64;
   /// V_s lands on state bit 4s + kKeyBitOffset, U_s on the bit above.
   static constexpr unsigned kKeyBitOffset = 0;
   /// Key-state bit holding U_0 (V_i is always key-state bit i).
@@ -67,7 +66,6 @@ struct GiftWidth<gift::Gift64> {
 template <>
 struct GiftWidth<gift::Gift128> {
   using Traits = Gift128Traits;
-  using RoundKey = gift::RoundKey128;
   static constexpr unsigned kKeyBitOffset = 1;
   static constexpr unsigned kUStateBit = 64;
   static constexpr std::uint64_t kDefaultSeed = 0x128A77;
@@ -82,7 +80,7 @@ struct GiftRecovery : GiftWidth<Gift>::Traits {
   using Traits = typename Width::Traits;
   using Cipher = Gift;
   using Block = typename Traits::Block;
-  using StageKey = typename Width::RoundKey;
+  using StageKey = typename Gift::RoundKey;
 
   static constexpr unsigned kSegments = Traits::kSegments;
   static constexpr unsigned kStages = 128 / (2 * kSegments);

@@ -171,9 +171,8 @@ class DirectProbePlatform final
     if (!last_ct_valid_) {
       // Complete the truncated encryption functionally (no sink, no cache
       // traffic — the simulated cache state is untouched).
-      last_ct_ = cipher_.encrypt_with_schedule(
-          last_pt_, schedule_, Traits::kRounds,
-          static_cast<gift::NullSink*>(nullptr));
+      last_ct_ =
+          cipher_.encrypt_with_schedule(last_pt_, schedule_, Traits::kRounds);
       last_ct_valid_ = true;
     }
     return last_ct_;

@@ -351,8 +351,7 @@ class WideRecoveryEngine {
   [[nodiscard]] Block lane_last_ciphertext(Lane& lane) const {
     if (!lane.wide_ct_valid) {
       lane.wide_state = cipher_.encrypt_with_schedule(
-          lane.wide_last_pt, lane.schedule, Recovery::kRounds,
-          static_cast<gift::NullSink*>(nullptr));
+          lane.wide_last_pt, lane.schedule, Recovery::kRounds);
       lane.wide_ct_valid = true;
     }
     return lane.wide_state;

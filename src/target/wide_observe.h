@@ -315,8 +315,7 @@ class WideObserveCore {
     PresenceSink sink{set_counts_.data(), first_line_, n_lines_, line_shift_,
                       set_mask_};
     const Block before = cipher_.encrypt_with_schedule(
-        job.plaintext, *job.schedule, from,
-        static_cast<gift::NullSink*>(nullptr));
+        job.plaintext, *job.schedule, from);
     state_out = cipher_.encrypt_rounds_from(
         before, *job.schedule, from, job.window.emit_rounds, &sink);
 
