@@ -80,10 +80,10 @@ unsigned GrinchAttack::update_statistical(StageState& state, unsigned segment,
     absents[c] += !present[index];
   }
   const std::uint32_t n = ++state.sightings[segment];
-  if (n < config_.stat_min_obs) return 0;
+  if (n < kStatMinObs) return 0;
 
   // Resolve once the lowest absent count separates from the runner-up by
-  // the configured margin (in sightings).
+  // the kStatZ margin (in sightings).
   unsigned best = 0, runner = 1;
   if (absents[runner] < absents[best]) std::swap(best, runner);
   for (unsigned c = 2; c < 4; ++c) {
@@ -95,8 +95,8 @@ unsigned GrinchAttack::update_statistical(StageState& state, unsigned segment,
     }
   }
   // Binomial difference significance: var(absent_i - absent_j) <= n/2,
-  // so a gap of stat_z * sqrt(n) is ~(stat_z * 1.4)-sigma evidence.
-  const double margin = config_.stat_z * std::sqrt(static_cast<double>(n));
+  // so a gap of kStatZ * sqrt(n) is ~(kStatZ * 1.4)-sigma evidence.
+  const double margin = kStatZ * std::sqrt(static_cast<double>(n));
   if (static_cast<double>(absents[runner]) -
           static_cast<double>(absents[best]) <
       margin) {
@@ -113,7 +113,6 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
   CrossRoundSolver solver;
   target::Gift64Recovery::Crafter crafter{rng_};
 
-  const bool solver_enabled = config_.use_cross_round;
   unsigned stall = 0;
   unsigned craft_rotation = 0;
 
@@ -250,8 +249,7 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
       // leave ambiguity direct elimination cannot split; use next-round
       // accesses (when the probe window covered them) to constrain this
       // round's and the next round's candidates jointly.
-      if (solver_enabled &&
-          (line_hidden_mask() != 0 || config_.coarse_observations) &&
+      if ((line_hidden_mask() != 0 || config_.coarse_observations) &&
           obs.probed_after_round >= stage + 3) {
         CrossRoundObservation cro;
         cro.pre_key_nibbles = nibbles;
@@ -271,13 +269,12 @@ StageReport GrinchAttack::drive_stage(unsigned stage, bool cleanup_phase) {
     // stall when one does); coarse-observation ambiguity (prefetchers)
     // defers on stall, since which candidates are co-present is
     // data-dependent.
-    if (!cleanup_phase && !pending_prev && solver_enabled &&
-        !all_resolved(current.masks)) {
+    if (!cleanup_phase && !pending_prev && !all_resolved(current.masks)) {
       const bool line_local = line_hidden_mask() != 0 &&
                               only_line_local_ambiguity(current.masks);
       const bool coarse_stuck =
-          config_.coarse_observations && stall >= config_.stall_limit;
-      if ((line_local && (!constraint_window || stall >= config_.stall_limit)) ||
+          config_.coarse_observations && stall >= kStallLimit;
+      if ((line_local && (!constraint_window || stall >= kStallLimit)) ||
           coarse_stuck) {
         report.deferred = true;
         return report;

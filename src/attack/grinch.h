@@ -35,6 +35,16 @@
 
 namespace grinch::attack {
 
+/// Consecutive observations without any candidate pruned before a stage
+/// with only line-local ambiguity left is handed to the next stage /
+/// cleanup phase.
+inline constexpr unsigned kStallLimit = 48;
+/// Statistical elimination (GrinchConfig::statistical_elimination)
+/// resolves a segment after at least kStatMinObs sightings, once the
+/// lowest absent count trails the runner-up by kStatZ * sqrt(sightings).
+inline constexpr unsigned kStatMinObs = 32;
+inline constexpr double kStatZ = 2.0;
+
 struct GrinchConfig {
   /// Stages to run, 1..4 (4 = full key; 1 = Fig. 3's "break 1st GIFT
   /// round").  A precondition: GrinchAttack asserts it.
@@ -48,19 +58,12 @@ struct GrinchConfig {
   /// true: every observation updates all 16 segments at once — an
   /// ablation showing the methodology's headroom.
   bool exploit_all_segments = false;
-  /// Enables cross-round/cross-stage constraint propagation when cache
-  /// lines hold several S-Box entries (required for lines >= 2 words).
-  bool use_cross_round = true;
   /// Declares that presence does not identify the demanded entry even at
   /// full line resolution — e.g. a hardware prefetcher drags neighbour
   /// lines in with every demand miss, making some candidates structurally
   /// co-present.  Engages the cross-round/cross-stage machinery and
   /// stall-based deferral unconditionally.
   bool coarse_observations = false;
-  /// Consecutive observations without any candidate pruned before a
-  /// stage with only line-local ambiguity left is handed to the next
-  /// stage / cleanup phase.
-  unsigned stall_limit = 48;
   /// Absent-vote threshold for direct elimination (see
   /// eliminate_candidates_voted).  1 = the paper's hard elimination;
   /// raise to 2-3 on noisy platforms where third-party traffic evicts
@@ -70,15 +73,13 @@ struct GrinchConfig {
   /// eliminating on absences, accumulate per-candidate absent-rate
   /// statistics and resolve a segment once the lowest-rate candidate is
   /// separated from the runner-up by a statistically significant gap
-  /// (>= stat_z * sqrt(sightings) absents) after at least `stat_min_obs`
+  /// (>= kStatZ * sqrt(sightings) absents) after at least kStatMinObs
   /// sightings.  Eviction noise only produces false *absents*, so the
   /// true candidate always has the lowest absent rate; hard elimination,
   /// by contrast, provably mis-converges once the false-absent rate is
   /// non-trivial (P(correct) ~ 0.4^16 at 37% FN).  Only effective at full
   /// line resolution (1 entry per line).
   bool statistical_elimination = false;
-  unsigned stat_min_obs = 32;
-  double stat_z = 2.0;
   /// Trace-driven augmentation: additionally exploit the monitored
   /// round's per-access hit/miss sequence when the platform reports one
   /// (Observation::sbox_hits).  Sound only without prefetching.
